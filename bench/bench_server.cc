@@ -104,8 +104,7 @@ PhaseResult RunPhase(const std::string& name, server::SofosServer* server,
   PhaseResult result;
   result.name = name;
 
-  uint64_t hits_before = server->metrics().cache_hits();
-  uint64_t misses_before = server->metrics().cache_misses();
+  const server::ResultCacheStats cache_before = server->CacheStats();
 
   std::vector<LatencyHistogram> histograms(kClients);
   std::atomic<uint64_t> errors{0};
@@ -166,8 +165,9 @@ PhaseResult RunPhase(const std::string& name, server::SofosServer* server,
       result.wall_ms > 0
           ? static_cast<double>(result.requests) / (result.wall_ms / 1000.0)
           : 0.0;
-  uint64_t hits = server->metrics().cache_hits() - hits_before;
-  uint64_t misses = server->metrics().cache_misses() - misses_before;
+  const server::ResultCacheStats cache_after = server->CacheStats();
+  uint64_t hits = cache_after.hits - cache_before.hits;
+  uint64_t misses = cache_after.misses - cache_before.misses;
   result.cache_hit_rate =
       hits + misses == 0
           ? 0.0

@@ -138,17 +138,11 @@ void EventLoop::Run() {
       }
       auto cit = conns_.find(id);
       if (cit == conns_.end()) continue;  // closed earlier in this batch
-      Conn* conn = &cit->second;
-      if (mask & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR)) {
-        HandleReadable(id, conn);
-        cit = conns_.find(id);
-        if (cit == conns_.end()) continue;
-        conn = &cit->second;
+      if ((mask & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR)) &&
+          !ReadInput(id, &cit->second)) {
+        continue;
       }
-      if (mask & EPOLLOUT) {
-        if (!FlushOut(id, conn)) continue;
-        UpdateInterest(conn);
-      }
+      Service(id);
     }
   }
 
@@ -235,18 +229,9 @@ void EventLoop::ProcessMail(std::vector<Mail> batch) {
         conn->out += mail.payload;
         conn->in_flight = false;
         if (mail.close_after_flush) conn->close_after_flush = true;
-        if (!FlushOut(mail.conn, conn)) break;
         // The slot is free again: frame the next pipelined request, or
         // finish an EOF'd connection whose last response just went out.
-        ProcessInput(mail.conn, conn);
-        it = conns_.find(mail.conn);
-        if (it == conns_.end()) break;
-        conn = &it->second;
-        if (conn->peer_eof && !conn->in_flight && !conn->close_after_flush) {
-          conn->close_after_flush = true;
-          if (!FlushOut(mail.conn, conn)) break;
-        }
-        UpdateInterest(conn);
+        Service(mail.conn);
         break;
       }
     }
@@ -268,7 +253,7 @@ void EventLoop::HandleAccept(int listen_fd, ConnKind kind) {
   }
 }
 
-void EventLoop::HandleReadable(uint64_t id, Conn* conn) {
+bool EventLoop::ReadInput(uint64_t id, Conn* conn) {
   char buf[4096];
   while (!conn->peer_eof && !conn->close_after_flush &&
          conn->in.size() < options_.max_buffered_bytes) {
@@ -284,29 +269,48 @@ void EventLoop::HandleReadable(uint64_t id, Conn* conn) {
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
     CloseConn(id, conn);  // hard error (ECONNRESET et al.)
-    return;
+    return false;
   }
-  ProcessInput(id, conn);
+  return true;
+}
+
+void EventLoop::Service(uint64_t id) {
   auto it = conns_.find(id);
   if (it == conns_.end()) return;
-  conn = &it->second;
-  if (conn->peer_eof && !conn->in_flight && !conn->close_after_flush) {
-    // Peer finished sending and nothing is pending: flush whatever is
-    // queued and close (half-closed clients still get their responses).
+  if (!FlushOut(id, &it->second)) return;
+  ProcessInput(id);
+  it = conns_.find(id);
+  if (it == conns_.end()) return;
+  Conn* conn = &it->second;
+  if (conn->peer_eof && !conn->in_flight && !conn->close_after_flush &&
+      PendingOut(*conn) < options_.max_buffered_bytes) {
+    // Peer finished sending and every complete request is answered:
+    // flush whatever is queued and close (half-closed clients still get
+    // their responses). Framing paused by output backpressure resumes
+    // on EPOLLOUT instead, and this check runs again then.
     conn->close_after_flush = true;
+    if (!FlushOut(id, conn)) return;
   }
-  if (!FlushOut(id, conn)) return;
   UpdateInterest(conn);
 }
 
-void EventLoop::ProcessInput(uint64_t id, Conn* conn) {
-  if (conn->kind == ConnKind::kLine) {
-    while (!conn->in_flight && !conn->close_after_flush) {
+void EventLoop::ProcessInput(uint64_t id) {
+  while (true) {
+    auto it = conns_.find(id);
+    if (it == conns_.end()) return;
+    Conn* conn = &it->second;
+    if (conn->in_flight || conn->close_after_flush ||
+        PendingOut(*conn) >= options_.max_buffered_bytes) {
+      return;
+    }
+    Reply reply;
+    if (conn->kind == ConnKind::kLine) {
       size_t nl = conn->in.find('\n');
       if (nl == std::string::npos) {
         if (conn->in.size() > options_.max_request_bytes) {
           conn->out += options_.overflow_response;
           conn->close_after_flush = true;
+          FlushOut(id, conn);
         }
         return;
       }
@@ -314,23 +318,31 @@ void EventLoop::ProcessInput(uint64_t id, Conn* conn) {
       conn->in.erase(0, nl + 1);
       if (!line.empty() && line.back() == '\r') line.pop_back();
       if (line.empty()) continue;  // blank lines are skipped, not errors
-      conn->in_flight = true;
-      on_line_(this, id, std::move(line));
+      reply = on_line_(this, id, std::move(line));
+    } else {
+      HttpRequest request;
+      HttpRequestParser::State state =
+          conn->parser.Consume(&conn->in, &request);
+      if (state == HttpRequestParser::State::kNeedMore) return;
+      if (state == HttpRequestParser::State::kError) {
+        conn->out += FormatHttpResponse("400 Bad Request", "text/plain",
+                                        conn->parser.error() + "\n");
+        conn->close_after_flush = true;
+        FlushOut(id, conn);
+        return;
+      }
+      reply = on_http_(this, id, std::move(request));
     }
-    return;
-  }
-  while (!conn->in_flight && !conn->close_after_flush) {
-    HttpRequest request;
-    HttpRequestParser::State state = conn->parser.Consume(&conn->in, &request);
-    if (state == HttpRequestParser::State::kNeedMore) return;
-    if (state == HttpRequestParser::State::kError) {
-      conn->out += FormatHttpResponse("400 Bad Request", "text/plain",
-                                      conn->parser.error() + "\n");
-      conn->close_after_flush = true;
+    // Handlers run on this thread and cannot touch conns_, so `conn` is
+    // still valid; a deferred reply's Respond() arrives as mail, which
+    // this thread only reads after returning to Run().
+    if (reply.deferred) {
+      conn->in_flight = true;
       return;
     }
-    conn->in_flight = true;
-    on_http_(this, id, std::move(request));
+    conn->out += reply.bytes;
+    if (reply.close_after_flush) conn->close_after_flush = true;
+    if (!FlushOut(id, conn)) return;
   }
 }
 
@@ -363,7 +375,7 @@ void EventLoop::UpdateInterest(Conn* conn) {
   const bool read_open = !conn->peer_eof && !conn->close_after_flush &&
                          conn->in.size() < options_.max_buffered_bytes;
   if (read_open) want |= EPOLLIN | EPOLLRDHUP;
-  if (conn->out_offset < conn->out.size()) want |= EPOLLOUT;
+  if (PendingOut(*conn) > 0) want |= EPOLLOUT;
   if (want == conn->armed_events) return;
   struct epoll_event ev;
   ::memset(&ev, 0, sizeof(ev));

@@ -10,18 +10,23 @@
 //     and writes responses with backpressure — leftover bytes re-arm
 //     EPOLLOUT and flush when the peer drains.
 //   - Only *parsed requests* leave the loop: the registered handler runs
-//     on the loop thread and must not block — it either answers inline
-//     via Respond() (cheap verbs, admission sheds, protocol errors) or
-//     dispatches the request to a worker pool, whose task calls
-//     Respond() later from its own thread.
+//     on the loop thread and must not block. It either answers on the
+//     spot by returning the reply (cheap verbs, result-cache hits,
+//     admission sheds, protocol errors), which the loop appends to the
+//     connection's output and flushes before framing the next request,
+//     or returns Reply::Deferred() after dispatching the request to a
+//     worker pool, whose task calls Respond() later from its own thread.
 //
 // One request is in flight per connection at a time: the loop stops
 // framing further requests on a connection until the response for the
 // current one arrives, which keeps responses ordered without any
 // per-connection queue (pipelined request bytes simply wait in the read
-// buffer). Connections are addressed by loop-local uint64 tokens, never
-// by fd, so a response for a connection that died in the meantime is
-// dropped instead of reaching a recycled descriptor.
+// buffer). Replies answered on the spot free the slot at once, so the
+// framing loop walks a pipelined burst iteratively, pausing only while
+// max_buffered_bytes of output wait for the peer to read. Connections
+// are addressed by loop-local uint64 tokens, never by fd, so a response
+// for a connection that died in the meantime is dropped instead of
+// reaching a recycled descriptor.
 //
 // Thread safety: AddConnection/AddListener/Respond/Stop may be called
 // from any thread (mailbox + eventfd wakeup); everything else — buffers,
@@ -58,9 +63,11 @@ struct EventLoopOptions {
   /// with `overflow_response` (line) / 400 (HTTP) and the connection
   /// closed.
   size_t max_request_bytes = 1u << 20;
-  /// Read backpressure: once this many bytes are buffered unparsed (a
-  /// pipelining client outrunning its one-in-flight slot), the loop
-  /// stops reading the connection until the buffer drains.
+  /// Backpressure, both ways: once this many bytes are buffered unparsed
+  /// (a pipelining client outrunning its one-in-flight slot), the loop
+  /// stops reading the connection until the buffer drains; once this
+  /// many response bytes wait unsent (a client that pipelines without
+  /// reading), it stops framing requests until the peer reads.
   size_t max_buffered_bytes = (1u << 20) + (64u << 10);
   /// Sent verbatim before closing when a line connection exceeds
   /// max_request_bytes (the server passes the framed ERR response the
@@ -68,14 +75,32 @@ struct EventLoopOptions {
   std::string overflow_response;
 };
 
+/// A handler's answer to one framed request.
+struct Reply {
+  /// The complete response bytes, written as soon as the handler returns.
+  std::string bytes;
+  /// Close the connection once `bytes` are written (QUIT, HTTP, fatal
+  /// errors).
+  bool close_after_flush = false;
+  /// The request left the loop thread: `bytes` are ignored and the
+  /// response arrives later through EventLoop::Respond().
+  bool deferred = false;
+
+  static Reply Deferred() {
+    Reply reply;
+    reply.deferred = true;
+    return reply;
+  }
+};
+
 class EventLoop {
  public:
   /// Handlers run on the loop thread with a framed request; `conn` is the
-  /// token to Respond() to. They must not block.
+  /// token a deferred request Respond()s to. They must not block.
   using LineHandler =
-      std::function<void(EventLoop* loop, uint64_t conn, std::string line)>;
+      std::function<Reply(EventLoop* loop, uint64_t conn, std::string line)>;
   using HttpHandler =
-      std::function<void(EventLoop* loop, uint64_t conn, HttpRequest request)>;
+      std::function<Reply(EventLoop* loop, uint64_t conn, HttpRequest request)>;
   /// Runs on the loop thread for every fd accepted off a registered
   /// listener. The callee owns the fd: typically admission-check, then
   /// AddConnection() on some loop (not necessarily this one) or respond
@@ -103,10 +128,10 @@ class EventLoop {
   /// Transfers an accepted connection into the loop (sets O_NONBLOCK).
   void AddConnection(int fd, ConnKind kind);
 
-  /// Delivers the response for the in-flight request on `conn` and
+  /// Delivers the response for the deferred request on `conn` and
   /// re-opens the connection for its next request; `close_after_flush`
-  /// closes it once the bytes are written (QUIT, HTTP, fatal errors).
-  /// Unknown/dead tokens are ignored.
+  /// closes it once the bytes are written. Unknown/dead tokens are
+  /// ignored.
   void Respond(uint64_t conn, std::string bytes, bool close_after_flush);
 
   /// Live connections owned by this loop (listeners excluded).
@@ -145,13 +170,25 @@ class EventLoop {
   void Post(Mail mail);
   void ProcessMail(std::vector<Mail> batch);
   void HandleAccept(int listen_fd, ConnKind kind);
-  void HandleReadable(uint64_t id, Conn* conn);
-  /// Frames and dispatches as many requests as the one-in-flight rule
-  /// allows from the connection's read buffer.
-  void ProcessInput(uint64_t id, Conn* conn);
+  /// Reads what the socket holds, up to the read backpressure limit.
+  /// Returns false when the connection was closed (hard read error).
+  bool ReadInput(uint64_t id, Conn* conn);
+  /// Brings a connection up to date after any event: flushes pending
+  /// output, frames and answers what the buffers allow, closes an EOF'd
+  /// connection with nothing left to answer, and re-arms epoll interest.
+  void Service(uint64_t id);
+  /// Frames and handles as many requests as the one-in-flight rule and
+  /// the output backpressure allow, flushing each reply answered on the
+  /// spot. Iterative: the connection is looked up again after every
+  /// flush, which may have closed it.
+  void ProcessInput(uint64_t id);
   /// Writes as much of `out` as the socket takes. Returns false when the
   /// connection was closed (write error or close_after_flush drained).
   bool FlushOut(uint64_t id, Conn* conn);
+  /// Response bytes queued but not yet taken by the socket.
+  static size_t PendingOut(const Conn& conn) {
+    return conn.out.size() - conn.out_offset;
+  }
   void UpdateInterest(Conn* conn);
   void CloseConn(uint64_t id, Conn* conn);
 

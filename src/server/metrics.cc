@@ -33,12 +33,6 @@ const char* EndpointName(Endpoint endpoint) {
   return "unknown";
 }
 
-double ServerMetrics::CacheHitRate() const {
-  uint64_t hits = cache_hits();
-  uint64_t total = hits + cache_misses();
-  return total == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(total);
-}
-
 std::string ServerMetrics::ToJson(const std::string& extra_fields) const {
   std::string out = "{";
   out += "\"endpoints\": {";
@@ -58,10 +52,6 @@ std::string ServerMetrics::ToJson(const std::string& extra_fields) const {
         snap.MeanMicros(), snap.P50(), snap.P95(), snap.P99());
   }
   out += "}";
-  out += StrFormat(
-      ", \"cache\": {\"hits\": %llu, \"misses\": %llu, \"hit_rate\": %.4f}",
-      static_cast<unsigned long long>(cache_hits()),
-      static_cast<unsigned long long>(cache_misses()), CacheHitRate());
   out += StrFormat(
       ", \"admission\": {\"accepted\": %llu, \"rejected\": %llu, "
       "\"queue_depth\": %lld, \"active_sessions\": %lld, "

@@ -48,9 +48,9 @@ struct EndpointMetrics {
 };
 
 /// Server-wide observability state: per-endpoint request counters and
-/// p50/p95/p99 latency (fixed-bucket histograms), result-cache hit
-/// accounting, admission-queue depth, and rejection counters — everything
-/// the STATS endpoint serves and bench_server consumes.
+/// p50/p95/p99 latency (fixed-bucket histograms), loop-thread cache hits,
+/// admission-queue depth, and rejection counters. Result-cache hit and
+/// miss counts live in ResultCache::Stats() alone.
 class ServerMetrics {
  public:
   EndpointMetrics& ForEndpoint(Endpoint endpoint) {
@@ -60,9 +60,9 @@ class ServerMetrics {
     return endpoints_[static_cast<size_t>(endpoint)];
   }
 
-  void RecordCacheHit() { cache_hits_.fetch_add(1, std::memory_order_relaxed); }
-  void RecordCacheMiss() {
-    cache_misses_.fetch_add(1, std::memory_order_relaxed);
+  /// A result-cache hit answered on an event-loop thread (no pool task).
+  void RecordLoopCacheHit() {
+    loop_cache_hits_.fetch_add(1, std::memory_order_relaxed);
   }
   void RecordRejected() { rejected_.fetch_add(1, std::memory_order_relaxed); }
   void RecordAccepted() { accepted_.fetch_add(1, std::memory_order_relaxed); }
@@ -77,14 +77,9 @@ class ServerMetrics {
     active_sessions_.store(sessions, std::memory_order_relaxed);
   }
 
-  uint64_t cache_hits() const {
-    return cache_hits_.load(std::memory_order_relaxed);
+  uint64_t loop_cache_hits() const {
+    return loop_cache_hits_.load(std::memory_order_relaxed);
   }
-  uint64_t cache_misses() const {
-    return cache_misses_.load(std::memory_order_relaxed);
-  }
-  /// Hits / (hits + misses); 0 when no lookups yet.
-  double CacheHitRate() const;
   uint64_t rejected() const { return rejected_.load(std::memory_order_relaxed); }
   uint64_t accepted() const { return accepted_.load(std::memory_order_relaxed); }
   int64_t queue_depth() const {
@@ -102,8 +97,7 @@ class ServerMetrics {
  private:
   std::array<EndpointMetrics, static_cast<size_t>(Endpoint::kNumEndpoints)>
       endpoints_;
-  std::atomic<uint64_t> cache_hits_{0};
-  std::atomic<uint64_t> cache_misses_{0};
+  std::atomic<uint64_t> loop_cache_hits_{0};
   std::atomic<uint64_t> rejected_{0};
   std::atomic<uint64_t> accepted_{0};
   std::atomic<uint64_t> protocol_errors_{0};

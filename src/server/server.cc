@@ -175,10 +175,10 @@ Status SofosServer::Start() {
       loops_.push_back(std::make_unique<EventLoop>(
           lopts,
           [this](EventLoop* loop, uint64_t conn, std::string line) {
-            OnLineRequest(loop, conn, std::move(line));
+            return OnLineRequest(loop, conn, std::move(line));
           },
           [this](EventLoop* loop, uint64_t conn, HttpRequest request) {
-            OnHttpRequest(loop, conn, std::move(request));
+            return OnHttpRequest(loop, conn, std::move(request));
           },
           [this](int fd, ConnKind kind) { OnAccept(fd, kind); }));
       Status started = loops_.back()->Start();
@@ -238,8 +238,8 @@ Status SofosServer::Start() {
         }
         counter("sofos_server_accepted_total", metrics_.accepted());
         counter("sofos_server_rejected_total", metrics_.rejected());
-        counter("sofos_server_cache_hits_total", metrics_.cache_hits());
-        counter("sofos_server_cache_misses_total", metrics_.cache_misses());
+        counter("sofos_server_loop_cache_hits_total",
+                metrics_.loop_cache_hits());
         gauge("sofos_server_queue_depth",
               static_cast<double>(metrics_.queue_depth()));
         gauge("sofos_server_active_sessions",
@@ -524,9 +524,7 @@ std::string SofosServer::ExecuteRequest(const Request& request) {
   WallTimer timer;
   switch (request.verb) {
     case Verb::kQuery:
-      HandleQuery(request.arg, &response);
-      endpoint = Endpoint::kQuery;
-      break;
+      return AnswerQuery(/*http=*/false, ExecuteQuery(request.arg), timer);
     case Verb::kUpdate:
       HandleUpdate(request.arg, &response);
       endpoint = Endpoint::kUpdate;
@@ -566,10 +564,8 @@ std::string SofosServer::ExecuteRequest(const Request& request) {
       // Both io paths answer QUIT before reaching here.
       return std::string("OK BYE\n") + kEndMarker + "\n";
   }
-  const double micros = timer.ElapsedMicros();
-  metrics_.ForEndpoint(endpoint).Record(
-      micros, always_ok || response.rfind("OK", 0) == 0);
-  if (admission_ != nullptr) admission_->OnComplete(micros);
+  MeterRequest(endpoint, timer.ElapsedMicros(),
+               always_ok || response.rfind("OK", 0) == 0);
   return response;
 }
 
@@ -614,53 +610,44 @@ void SofosServer::OnAccept(int fd, ConnKind kind) {
   loops_[target]->AddConnection(fd, kind);
 }
 
-void SofosServer::OnLineRequest(EventLoop* loop, uint64_t conn,
-                                std::string line) {
-  if (StrTrim(line).empty()) {
-    // The loop already skips blank lines; belt-and-braces for CR-only.
-    loop->Respond(conn, "", false);
-    return;
-  }
+Reply SofosServer::OnLineRequest(EventLoop* loop, uint64_t conn,
+                                 std::string line) {
+  Reply reply;
+  // The loop already skips blank lines; belt-and-braces for CR-only.
+  if (StrTrim(line).empty()) return reply;
   auto request = ParseRequest(line);
   if (!request.ok()) {
     metrics_.RecordProtocolError();
-    loop->Respond(conn,
-                  FormatError(request.status().ToString()) + "\n" +
-                      kEndMarker + "\n",
-                  false);
-    return;
+    reply.bytes =
+        FormatError(request.status().ToString()) + "\n" + kEndMarker + "\n";
+    return reply;
   }
   if (request->verb == Verb::kQuit) {
-    loop->Respond(conn, std::string("OK BYE\n") + kEndMarker + "\n", true);
-    return;
+    reply.bytes = std::string("OK BYE\n") + kEndMarker + "\n";
+    reply.close_after_flush = true;
+    return reply;
   }
   if (!running_) {
-    loop->Respond(conn,
-                  FormatError("server shutting down") + "\n" + kEndMarker +
-                      "\n",
-                  true);
-    return;
+    reply.bytes =
+        FormatError("server shutting down") + "\n" + kEndMarker + "\n";
+    reply.close_after_flush = true;
+    return reply;
   }
-  // Per-request queue-model admission: shed over-SLO arrivals with a
-  // load-derived hint but keep the connection — the client retries on
-  // the same socket.
-  AdmissionDecision decision = admission_->Decide(InFlightRequests());
-  if (!decision.admit) {
-    metrics_.RecordRejected();
-    loop->Respond(conn,
-                  FormatBusy(decision.retry_ms) + "\n" + kEndMarker + "\n",
-                  false);
-    return;
+  if (request->verb == Verb::kQuery) {
+    return OnQuery(loop, conn, std::move(request->arg), /*http=*/false);
   }
-  DispatchToPool(loop, conn, std::move(*request), /*http_sparql=*/"");
+  return AdmitAndDispatch(
+      loop, conn, /*http=*/false,
+      [this, request = std::move(*request)] { return ExecuteRequest(request); });
 }
 
-void SofosServer::OnHttpRequest(EventLoop* loop, uint64_t conn,
-                                HttpRequest request) {
-  const bool is_query = request.path == "/query";
-  if (!is_query) {
-    loop->Respond(conn, HttpObservabilityResponse(request), true);
-    return;
+Reply SofosServer::OnHttpRequest(EventLoop* loop, uint64_t conn,
+                                 HttpRequest request) {
+  Reply reply;
+  reply.close_after_flush = true;  // HTTP/1.0: one request per connection
+  if (request.path != "/query") {
+    reply.bytes = HttpObservabilityResponse(request);
+    return reply;
   }
   std::string sparql;
   if (request.method == "GET") {
@@ -669,185 +656,207 @@ void SofosServer::OnHttpRequest(EventLoop* loop, uint64_t conn,
   } else if (request.method == "POST") {
     sparql = request.body;
   } else {
-    loop->Respond(conn,
-                  FormatHttpResponse("405 Method Not Allowed", "text/plain",
-                                     "GET or POST /query\n"),
-                  true);
-    return;
+    reply.bytes = FormatHttpResponse("405 Method Not Allowed", "text/plain",
+                                     "GET or POST /query\n");
+    return reply;
   }
   if (StrTrim(sparql).empty()) {
-    loop->Respond(
-        conn,
-        FormatHttpResponse("400 Bad Request", "application/json",
-                           "{\"error\":\"missing query: GET /query?q=... or "
-                           "POST body\"}\n"),
-        true);
-    return;
+    reply.bytes = FormatHttpResponse(
+        "400 Bad Request", "application/json",
+        "{\"error\":\"missing query: GET /query?q=... or POST body\"}\n");
+    return reply;
   }
   if (!running_) {
-    loop->Respond(conn,
-                  FormatHttpResponse("503 Service Unavailable", "text/plain",
-                                     "server shutting down\n"),
-                  true);
-    return;
+    reply.bytes = FormatHttpResponse("503 Service Unavailable", "text/plain",
+                                     "server shutting down\n");
+    return reply;
   }
+  return OnQuery(loop, conn, std::string(StrTrim(sparql)), /*http=*/true);
+}
+
+Reply SofosServer::OnQuery(EventLoop* loop, uint64_t conn, std::string sparql,
+                           bool http) {
+  WallTimer timer;
+  QueryProbe probe = ProbeQuery(sparql);
+  if (probe.done) {
+    // Answered without execution, so without a pool round trip. The
+    // request still counts in the endpoint metrics the queue model reads
+    // its arrival rate and service time from.
+    if (probe.outcome.cached) metrics_.RecordLoopCacheHit();
+    Reply reply;
+    reply.bytes = AnswerQuery(http, probe.outcome, timer);
+    reply.close_after_flush = http;
+    return reply;
+  }
+  return AdmitAndDispatch(
+      loop, conn, http,
+      [this, http, sparql = std::move(sparql), probe = std::move(probe)] {
+        WallTimer work_timer;
+        return AnswerQuery(http, ExecuteMiss(sparql, probe), work_timer);
+      });
+}
+
+Reply SofosServer::AdmitAndDispatch(EventLoop* loop, uint64_t conn, bool http,
+                                    std::function<std::string()> work) {
+  Reply reply;
+  reply.close_after_flush = http;
+  // Per-request queue-model admission: shed over-SLO arrivals with a
+  // load-derived hint. A line connection is kept — the client retries
+  // on the same socket.
   AdmissionDecision decision = admission_->Decide(InFlightRequests());
   if (!decision.admit) {
     metrics_.RecordRejected();
-    loop->Respond(conn, HttpOverloadedResponse(decision.retry_ms), true);
-    return;
+    reply.bytes = http ? HttpOverloadedResponse(decision.retry_ms)
+                       : FormatBusy(decision.retry_ms) + "\n" + kEndMarker +
+                             "\n";
+    return reply;
   }
-  Request wrapped;
-  wrapped.verb = Verb::kQuery;
-  wrapped.arg = std::string(StrTrim(sparql));
-  // Copy before the call: argument evaluation order is unspecified, so
-  // `wrapped.arg` must not be read in the same argument list that moves
-  // `wrapped`.
-  std::string http_sparql = wrapped.arg;
-  DispatchToPool(loop, conn, std::move(wrapped), std::move(http_sparql));
-}
-
-void SofosServer::DispatchToPool(EventLoop* loop, uint64_t conn,
-                                 Request request, std::string http_sparql) {
+  const unsigned servers = std::max(1u, options_.max_sessions);
+  auto publish_depth = [this, servers] {  // caller holds sessions_mu_
+    const unsigned in_flight = in_flight_requests_;
+    metrics_.SetQueueDepth(
+        static_cast<int64_t>(in_flight > servers ? in_flight - servers : 0));
+    metrics_.SetActiveSessions(
+        static_cast<int64_t>(in_flight < servers ? in_flight : servers));
+  };
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
     if (!running_) {
       // Raced with Stop() past its drain wait: answer without dispatching
       // (the pool may be tearing down).
-      loop->Respond(conn,
-                    FormatError("server shutting down") + "\n" + kEndMarker +
-                        "\n",
-                    true);
-      return;
+      reply.bytes = http ? FormatHttpResponse("503 Service Unavailable",
+                                              "text/plain",
+                                              "server shutting down\n")
+                         : FormatError("server shutting down") + "\n" +
+                               kEndMarker + "\n";
+      reply.close_after_flush = true;
+      return reply;
     }
     ++in_flight_requests_;
-    const unsigned in_flight = in_flight_requests_;
-    const unsigned servers = std::max(1u, options_.max_sessions);
-    metrics_.SetQueueDepth(
-        static_cast<int64_t>(in_flight > servers ? in_flight - servers : 0));
-    metrics_.SetActiveSessions(
-        static_cast<int64_t>(in_flight < servers ? in_flight : servers));
+    publish_depth();
   }
-  const bool is_http = !http_sparql.empty();
-  pool_->Submit(
-      [this, loop, conn, request = std::move(request),
-       http_sparql = std::move(http_sparql), is_http] {
-        std::string response = is_http ? HttpQueryResponse(http_sparql)
-                                       : ExecuteRequest(request);
-        loop->Respond(conn, std::move(response), /*close_after_flush=*/is_http);
-        {
-          std::lock_guard<std::mutex> lock(sessions_mu_);
-          --in_flight_requests_;
-          const unsigned in_flight = in_flight_requests_;
-          const unsigned servers = std::max(1u, options_.max_sessions);
-          metrics_.SetQueueDepth(static_cast<int64_t>(
-              in_flight > servers ? in_flight - servers : 0));
-          metrics_.SetActiveSessions(
-              static_cast<int64_t>(in_flight < servers ? in_flight : servers));
-        }
-        sessions_cv_.notify_all();
-      });
+  pool_->Submit([this, loop, conn, http, publish_depth,
+                 work = std::move(work)] {
+    loop->Respond(conn, work(), /*close_after_flush=*/http);
+    {
+      std::lock_guard<std::mutex> lock(sessions_mu_);
+      --in_flight_requests_;
+      publish_depth();
+    }
+    sessions_cv_.notify_all();
+  });
+  return Reply::Deferred();
 }
 
-void SofosServer::HandleQuery(const std::string& arg, std::string* out) {
-  QueryOutcome result = ExecuteQuery(arg);
-  if (!result.ok) {
-    *out = FormatError(result.error) + "\n" + kEndMarker + "\n";
-    return;
+std::string SofosServer::AnswerQuery(bool http, const QueryOutcome& result,
+                                     const WallTimer& timer) {
+  std::string response;
+  if (http) {
+    response = HttpQueryResponse(result);
+  } else if (!result.ok) {
+    response = FormatError(result.error) + "\n" + kEndMarker + "\n";
+  } else {
+    response = FormatQueryHeader(result.rows, result.cols, result.epoch,
+                                 result.cached, result.view, result.micros) +
+               "\n" + result.body + kEndMarker + "\n";
   }
-  *out = FormatQueryHeader(result.rows, result.cols, result.epoch,
-                           result.cached, result.view, result.micros) +
-         "\n" + result.body + kEndMarker + "\n";
+  MeterRequest(http ? Endpoint::kHttpQuery : Endpoint::kQuery,
+               timer.ElapsedMicros(), result.ok);
+  return response;
+}
+
+void SofosServer::MeterRequest(Endpoint endpoint, double micros, bool ok) {
+  metrics_.ForEndpoint(endpoint).Record(micros, ok);
+  if (admission_ != nullptr) admission_->OnComplete(micros);
 }
 
 SofosServer::QueryOutcome SofosServer::ExecuteQuery(const std::string& arg) {
-  QueryOutcome result;
-  if (arg.empty()) {
-    result.error = "usage: QUERY <sparql>";
-    return result;
-  }
-  std::shared_ptr<const core::EngineSnapshot> snapshot =
-      engine_->CurrentSnapshot();
-  if (snapshot == nullptr) {
-    result.error = "no published snapshot";
-    return result;
-  }
-  const bool allow_views = true;
-  const bool cache_enabled =
-      options_.enable_cache && options_.cache.capacity_bytes > 0;
-  std::string key;
-  if (cache_enabled) {
-    std::string normalized = NormalizeQueryText(arg);
-    key = ResultCache::MakeKey(normalized, snapshot->epoch(), allow_views);
-    std::string entry;
-    if (cache_.Lookup(key, &entry)) {
-      uint64_t rows = 0, cols = 0;
-      std::string view, body;
-      if (UnpackCacheEntry(entry, &rows, &cols, &view, &body)) {
-        metrics_.RecordCacheHit();
-        // Served-from-cache answers still belong in the recorded workload
-        // (the observed traffic includes them); the routing decision is
-        // whatever the cached execution made. No signature — the miss
-        // that produced this entry recorded the replayable shape.
-        core::WorkloadRecorder* recorder = engine_->recorder();
-        if (recorder->enabled()) {
-          core::RecordedQuery rec;
-          rec.normalized_sparql = std::move(normalized);
-          rec.used_view = view != "-";
-          if (rec.used_view) {
-            rec.view_mask = static_cast<uint32_t>(
-                std::strtoul(view.c_str(), nullptr, 10));
-          }
-          rec.epoch = snapshot->epoch();
-          rec.result_rows = rows;
-          rec.cache_hit = true;
-          recorder->Record(std::move(rec));
-        }
-        result.ok = true;
-        result.rows = rows;
-        result.cols = cols;
-        result.epoch = snapshot->epoch();
-        result.cached = true;
-        result.view = std::move(view);
-        result.micros = 0.0;
-        result.body = std::move(body);
-        return result;
-      }
-      // Unreadable entry (cannot happen with our own packing; defensive):
-      // fall through to recompute and overwrite it.
-    }
-    metrics_.RecordCacheMiss();
-  }
+  QueryProbe probe = ProbeQuery(arg);
+  return probe.done ? std::move(probe.outcome) : ExecuteMiss(arg, probe);
+}
 
-  auto outcome = snapshot->Answer(arg, allow_views);
+SofosServer::QueryProbe SofosServer::ProbeQuery(const std::string& arg) {
+  QueryProbe probe;
+  if (arg.empty()) {
+    probe.done = true;
+    probe.outcome.error = "usage: QUERY <sparql>";
+    return probe;
+  }
+  probe.snapshot = engine_->CurrentSnapshot();
+  if (probe.snapshot == nullptr) {
+    probe.done = true;
+    probe.outcome.error = "no published snapshot";
+    return probe;
+  }
+  if (!options_.enable_cache || options_.cache.capacity_bytes == 0) {
+    return probe;
+  }
+  const uint64_t epoch = probe.snapshot->epoch();
+  std::string normalized = NormalizeQueryText(arg);
+  probe.key = ResultCache::MakeKey(normalized, epoch, /*allow_views=*/true);
+  std::string entry;
+  QueryOutcome& result = probe.outcome;
+  // An unreadable entry cannot come from our own packing; treat it as a
+  // miss, whose execution overwrites it.
+  if (!cache_.Lookup(probe.key, &entry) ||
+      !UnpackCacheEntry(entry, &result.rows, &result.cols, &result.view,
+                        &result.body)) {
+    return probe;
+  }
+  // Served-from-cache answers still belong in the recorded workload
+  // (the observed traffic includes them); the routing decision is
+  // whatever the cached execution made. No signature — the miss that
+  // produced this entry recorded the replayable shape.
+  core::WorkloadRecorder* recorder = engine_->recorder();
+  if (recorder->enabled()) {
+    core::RecordedQuery rec;
+    rec.normalized_sparql = std::move(normalized);
+    rec.used_view = result.view != "-";
+    if (rec.used_view) {
+      rec.view_mask = static_cast<uint32_t>(
+          std::strtoul(result.view.c_str(), nullptr, 10));
+    }
+    rec.epoch = epoch;
+    rec.result_rows = result.rows;
+    rec.cache_hit = true;
+    recorder->Record(std::move(rec));
+  }
+  probe.done = true;
+  result.ok = true;
+  result.epoch = epoch;
+  result.cached = true;
+  result.micros = 0.0;
+  return probe;
+}
+
+SofosServer::QueryOutcome SofosServer::ExecuteMiss(const std::string& arg,
+                                                   const QueryProbe& probe) {
+  QueryOutcome result;
+  auto outcome = probe.snapshot->Answer(arg, /*allow_views=*/true);
   if (!outcome.ok()) {
     result.error = outcome.status().ToString();
     return result;
   }
-  std::string view =
-      outcome->used_view ? std::to_string(outcome->view_mask) : "-";
-  std::string body = FormatQueryBody(outcome->result);
   result.ok = true;
   result.rows = outcome->result_rows;
   result.cols = outcome->result.NumCols();
-  result.epoch = snapshot->epoch();
-  result.cached = false;
-  result.view = view;
+  result.epoch = probe.snapshot->epoch();
+  result.view = outcome->used_view ? std::to_string(outcome->view_mask) : "-";
   result.micros = outcome->micros;
-  result.body = body;
-  if (cache_enabled) {
+  result.body = FormatQueryBody(outcome->result);
+  if (!probe.key.empty()) {
     // The measured execution cost drives cost-aware admission: answers
     // cheaper than the configured floor are recomputed instead of cached.
     // Routed answers are tagged with their view label so an update that
     // provably leaves the view unchanged can carry them forward across
     // the epoch bump; base-graph answers ("") are always invalidated.
-    cache_.Insert(key, snapshot->epoch(),
-                  PackCacheEntry(outcome->result_rows,
-                                 outcome->result.NumCols(), view, body),
+    cache_.Insert(probe.key, result.epoch,
+                  PackCacheEntry(result.rows, result.cols, result.view,
+                                 result.body),
                   outcome->micros, /*ttl_seconds=*/-1.0,
-                  outcome->used_view ? view : "");
+                  outcome->used_view ? result.view : "");
   }
-  MaybeCaptureSlowQuery(snapshot, arg, outcome->micros);
+  MaybeCaptureSlowQuery(probe.snapshot, arg, outcome->micros);
   return result;
 }
 
@@ -1082,7 +1091,17 @@ std::string SofosServer::StatsJson() const {
       engine_->CurrentSnapshot();
   ResultCacheStats cache_stats = cache_.Stats();
   uint64_t batches = update_batches_applied_.load(std::memory_order_relaxed);
+  const uint64_t lookups = cache_stats.hits + cache_stats.misses;
   std::string extra = StrFormat(
+      "\"cache\": {\"hits\": %llu, \"misses\": %llu, \"hit_rate\": %.4f, "
+      "\"loop_hits\": %llu}, ",
+      static_cast<unsigned long long>(cache_stats.hits),
+      static_cast<unsigned long long>(cache_stats.misses),
+      lookups == 0 ? 0.0
+                   : static_cast<double>(cache_stats.hits) /
+                         static_cast<double>(lookups),
+      static_cast<unsigned long long>(metrics_.loop_cache_hits()));
+  extra += StrFormat(
       "\"server\": {\"epoch\": %llu, \"triples\": %llu, "
       "\"update_batches\": %llu, \"cache_entries\": %llu, "
       "\"cache_bytes\": %llu, \"cache_evictions\": %llu, "
@@ -1277,7 +1296,10 @@ void SofosServer::ServeHttp(int fd) {
                       admission_->ConnectionRetryHintMs(admitted)));
       return;
     }
-    SendAll(fd, HttpQueryResponse(std::string(StrTrim(sparql))));
+    WallTimer timer;
+    SendAll(fd, AnswerQuery(/*http=*/true,
+                            ExecuteQuery(std::string(StrTrim(sparql))),
+                            timer));
     return;
   }
   SendAll(fd, HttpObservabilityResponse(request));
@@ -1324,9 +1346,7 @@ std::string SofosServer::HttpObservabilityResponse(const HttpRequest& request) {
       "endpoints: /query /metrics /stats /history /slow /healthz\n");
 }
 
-std::string SofosServer::HttpQueryResponse(const std::string& sparql) {
-  WallTimer timer;
-  QueryOutcome result = ExecuteQuery(sparql);
+std::string SofosServer::HttpQueryResponse(const QueryOutcome& result) {
   std::string response;
   if (!result.ok) {
     response = FormatHttpResponse(
@@ -1390,10 +1410,6 @@ std::string SofosServer::HttpQueryResponse(const std::string& sparql) {
     json += "]}\n";
     response = FormatHttpResponse("200 OK", "application/json", json);
   }
-  const double micros = timer.ElapsedMicros();
-  metrics_.ForEndpoint(Endpoint::kHttpQuery)
-      .Record(micros, response.rfind("HTTP/1.0 200", 0) == 0);
-  if (admission_ != nullptr) admission_->OnComplete(micros);
   return response;
 }
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -15,6 +16,7 @@
 #include "common/result.h"
 #include "common/telemetry.h"
 #include "common/thread_pool.h"
+#include "common/timer.h"
 #include "core/engine.h"
 #include "server/admission.h"
 #include "server/event_loop.h"
@@ -111,14 +113,15 @@ struct ServerOptions {
 ///
 /// Architecture (IoMode::kEventLoop, the default): a small set of epoll
 /// event-loop threads own every socket — they accept, frame requests from
-/// non-blocking reads, and write responses with EPOLLOUT backpressure —
-/// and only parsed requests are dispatched to the worker pool
-/// (common/thread_pool.h, max_sessions workers). Connection count is
-/// therefore decoupled from thread count: thousands of mostly-idle
-/// clients cost buffers, not workers. Admission is per *request* through
-/// an M/M/c queue model (server/admission.h): estimated-wait-over-SLO
-/// arrivals get `BUSY retry_ms=<load-derived>` and the connection stays
-/// open.
+/// non-blocking reads, and write responses with EPOLLOUT backpressure.
+/// QUERY and HTTP /query requests probe the result cache right there and
+/// a hit is answered on the loop thread; misses and every other verb are
+/// dispatched to the worker pool (common/thread_pool.h, max_sessions
+/// workers). Connection count is therefore decoupled from thread count:
+/// thousands of mostly-idle clients cost buffers, not workers. Admission
+/// of pool-bound requests is per *request* through an M/M/c queue model
+/// (server/admission.h): estimated-wait-over-SLO arrivals get
+/// `BUSY retry_ms=<load-derived>` and the connection stays open.
 ///
 /// IoMode::kThreadPerSession keeps the legacy shape — one listener thread
 /// admits each connection to a pool worker for its whole lifetime; the
@@ -230,14 +233,21 @@ class SofosServer {
 
   /// Loop-thread callbacks: frame-level admission + dispatch.
   void OnAccept(int fd, ConnKind kind);
-  void OnLineRequest(EventLoop* loop, uint64_t conn, std::string line);
-  void OnHttpRequest(EventLoop* loop, uint64_t conn, HttpRequest request);
-  /// Books the request in flight and hands it to the worker pool; the
-  /// task answers through loop->Respond(). `http_sparql` non-empty means
-  /// an HTTP /query request (responds with the JSON adapter instead of
-  /// the line protocol).
-  void DispatchToPool(EventLoop* loop, uint64_t conn, Request request,
-                      std::string http_sparql);
+  Reply OnLineRequest(EventLoop* loop, uint64_t conn, std::string line);
+  Reply OnHttpRequest(EventLoop* loop, uint64_t conn, HttpRequest request);
+  /// The QUERY path shared by the line protocol and HTTP /query (`http`
+  /// picks the reply format): probes the result cache on the loop thread
+  /// and answers hits — and requests that fail before execution — right
+  /// there, with no admission decision and no pool task. A miss goes
+  /// through AdmitAndDispatch carrying its probe.
+  Reply OnQuery(EventLoop* loop, uint64_t conn, std::string sparql,
+                bool http);
+  /// Per-request queue-model admission. An admitted request is booked in
+  /// flight and `work` runs on the worker pool, its response delivered
+  /// through loop->Respond() (closing the connection after HTTP
+  /// replies); a shed one is answered on the spot with BUSY / 503.
+  Reply AdmitAndDispatch(EventLoop* loop, uint64_t conn, bool http,
+                         std::function<std::string()> work);
   /// In-flight dispatched requests (running + queued), the queue-model's
   /// live input.
   size_t InFlightRequests() const;
@@ -248,21 +258,43 @@ class SofosServer {
   /// admission controller's service-time EWMA.
   std::string ExecuteRequest(const Request& request);
 
-  /// The shared QUERY execution: cache lookup/fill, workload recording,
-  /// slow-query capture.
+  /// A QUERY resolved up to and including its single cache lookup. When
+  /// `done`, `outcome` is final (a hit, or an error found before
+  /// execution); otherwise ExecuteMiss runs the query on `snapshot` and
+  /// fills the cache under `key` without a second lookup.
+  struct QueryProbe {
+    bool done = false;
+    QueryOutcome outcome;
+    std::shared_ptr<const core::EngineSnapshot> snapshot;
+    std::string key;  // empty when caching is off
+  };
+  /// Resolves the snapshot and looks the query up; a hit also records
+  /// its WorkloadRecorder entry. Cheap enough for the loop thread.
+  QueryProbe ProbeQuery(const std::string& arg);
+  /// Executes a probe that missed: cache fill and slow-query capture.
+  QueryOutcome ExecuteMiss(const std::string& arg, const QueryProbe& probe);
+  /// ProbeQuery, then ExecuteMiss when it missed.
   QueryOutcome ExecuteQuery(const std::string& arg);
+  /// Formats a finished QUERY for its surface (`http`: the /query JSON
+  /// adapter, else the line protocol) and meters it on that endpoint with
+  /// the time since `timer` started.
+  std::string AnswerQuery(bool http, const QueryOutcome& result,
+                          const WallTimer& timer);
+  /// Books one finished request: the endpoint's request counter and
+  /// latency histogram (the admission model's arrival and service-time
+  /// inputs) and the admission controller's service-time EWMA.
+  void MeterRequest(Endpoint endpoint, double micros, bool ok);
 
   /// ---- HTTP ----
 
   /// Full response for the observability GETs (/metrics /stats /history
   /// /slow /healthz, plus 404/405 fallbacks). Never runs engine work.
   std::string HttpObservabilityResponse(const HttpRequest& request);
-  /// Full response for GET/POST /query (runs the query — pool-side in
-  /// event mode, inline on the HTTP thread in thread mode).
-  std::string HttpQueryResponse(const std::string& sparql);
+  /// The /query JSON response for a finished QUERY (200, or 400 with
+  /// the error).
+  static std::string HttpQueryResponse(const QueryOutcome& result);
 
   /// Request handlers append "header\n[body...]\nEND\n" to *out.
-  void HandleQuery(const std::string& arg, std::string* out);
   void HandleUpdate(const std::string& arg, std::string* out);
   void HandleExplain(const std::string& arg, std::string* out);
   void HandleAnalyze(const std::string& arg, std::string* out);

@@ -2,19 +2,24 @@
 /// math, cold start, shed/recover), the epoll event loop's connection
 /// handling (slow-loris dribble, mid-write disconnect, idle connections
 /// far beyond the worker pool), per-request BUSY shedding under open-loop
-/// saturation, the HTTP/JSON query adapter, client retry pushback, and
-/// byte-identity of the line protocol across io modes. Runs under the
-/// TSan lane (scripts/run_tsan.sh, label `server`).
+/// saturation, the HTTP/JSON query adapter, client retry pushback,
+/// result-cache hits answered on the loop thread (one lookup per request,
+/// pipelined bursts, no pool dispatch), and byte-identity of the line
+/// protocol across io modes. Runs under the TSan lane
+/// (scripts/run_tsan.sh, label `server`).
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <regex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,6 +30,7 @@
 #include "gtest/gtest.h"
 #include "server/admission.h"
 #include "server/client.h"
+#include "server/event_loop.h"
 #include "server/http.h"
 #include "server/server.h"
 #include "tests/test_util.h"
@@ -35,10 +41,15 @@ namespace {
 using server::AdmissionController;
 using server::AdmissionOptions;
 using server::BlockingClient;
+using server::ConnKind;
 using server::ErlangC;
+using server::EventLoop;
+using server::EventLoopOptions;
 using server::HttpRequest;
 using server::HttpRequestParser;
 using server::IoMode;
+using server::Reply;
+using server::ResultCacheStats;
 using server::ServerOptions;
 using server::SofosServer;
 
@@ -173,9 +184,14 @@ int RawConnect(uint16_t port) {
   return fd;
 }
 
+/// Sends one HTTP request and reads until the server closes. A server that
+/// never closes times out after 5 s and yields "" instead of hanging.
 std::string RawHttp(uint16_t port, const std::string& request) {
   int fd = RawConnect(port);
   if (fd < 0) return "";
+  timeval timeout{};
+  timeout.tv_sec = 5;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
   size_t sent = 0;
   while (sent < request.size()) {
     ssize_t n = ::send(fd, request.data() + sent, request.size() - sent, 0);
@@ -188,6 +204,7 @@ std::string RawHttp(uint16_t port, const std::string& request) {
   while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
     response.append(buf, static_cast<size_t>(n));
   }
+  if (n < 0) response.clear();  // timed out: the server never closed
   ::close(fd);
   return response;
 }
@@ -208,11 +225,79 @@ std::string UrlEncode(const std::string& in) {
   return out;
 }
 
-/// QUERY headers carry a wall-clock micros figure; normalize it so two
-/// executions of the same query compare equal.
-std::string MaskMicros(const std::string& header) {
-  size_t at = header.find("micros=");
-  return at == std::string::npos ? header : header.substr(0, at) + "micros=X";
+/// Writes `bytes` from a helper thread (so a burst larger than the socket
+/// buffers cannot deadlock against the replies) and reads until `replies`
+/// framed line-protocol responses have arrived. Returns the raw bytes.
+std::string RawLineExchange(int fd, const std::string& bytes, size_t replies) {
+  std::thread sender([fd, &bytes] {
+    size_t sent = 0;
+    while (sent < bytes.size()) {
+      ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
+                         MSG_NOSIGNAL);
+      if (n <= 0) break;
+      sent += static_cast<size_t>(n);
+    }
+  });
+  std::string got;
+  size_t ends = 0;
+  size_t scanned = 0;  // "END\n" lines counted up to here
+  char buf[8192];
+  while (ends < replies) {
+    ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) break;
+    got.append(buf, static_cast<size_t>(n));
+    size_t at;
+    while ((at = got.find("END\n", scanned)) != std::string::npos) {
+      if (at == 0 || got[at - 1] == '\n') ++ends;
+      scanned = at + 4;
+    }
+  }
+  sender.join();
+  return got;
+}
+
+/// SPARQL text as one protocol line: the line protocol frames on '\n',
+/// and the server normalizes whitespace before keying the cache.
+std::string OneLine(std::string sparql) {
+  std::replace(sparql.begin(), sparql.end(), '\n', ' ');
+  return sparql;
+}
+
+/// A reply's execution time differs run to run; a cache hit's is always
+/// 0.0. Masks the figure in replies that were not cached, so an executed
+/// reply compares equal across servers and a cached one stays exact.
+std::string MaskExecMicros(const std::string& reply) {
+  if (reply.find("cached=1") != std::string::npos ||
+      reply.find("\"cached\":true") != std::string::npos) {
+    return reply;
+  }
+  static const std::regex micros("(micros=|\"micros\":)[0-9.]+");
+  return std::regex_replace(reply, micros, "$1X");
+}
+
+/// The value of one registry sample, read in process (a METRICS request
+/// would itself be a pool task): a counter's or gauge's value, or a
+/// histogram's sample count. -1 when absent.
+double RegistryValue(core::SofosEngine* engine, const std::string& name) {
+  for (const MetricSample& sample : engine->metrics()->Collect()) {
+    if (sample.name != name) continue;
+    switch (sample.kind) {
+      case MetricSample::Kind::kCounter:
+        return static_cast<double>(sample.counter_value);
+      case MetricSample::Kind::kGauge:
+        return sample.gauge_value;
+      case MetricSample::Kind::kHistogram:
+        return static_cast<double>(sample.histogram.count);
+    }
+  }
+  return -1.0;
+}
+
+/// Tasks the session pool has started: every request that left the loop
+/// thread. Recorded before the task runs, so it is current by the time
+/// the task's reply reaches the client.
+double PoolTasksStarted(core::SofosEngine* engine) {
+  return RegistryValue(engine, "sofos_pool_queue_wait_micros");
 }
 
 // ---- Idle-connection capacity (the tentpole's headline claim) -------------
@@ -490,8 +575,8 @@ TEST_F(EventLoopServerTest, HttpQuerySharesExecutionAndCache) {
   EXPECT_NE(post.find("\"rows\":" + rows), std::string::npos) << post;
 
   // Both surfaces hit the same cache: one miss total, two hits.
-  EXPECT_EQ(server.metrics().cache_misses(), 1u);
-  EXPECT_EQ(server.metrics().cache_hits(), 2u);
+  EXPECT_EQ(server.CacheStats().misses, 1u);
+  EXPECT_EQ(server.CacheStats().hits, 2u);
   // The adapter is metered on its own endpoint, not as line QUERY.
   using server::Endpoint;
   EXPECT_EQ(server.metrics()
@@ -554,12 +639,292 @@ TEST(HttpRequestParserTest, IncrementalParseAndErrors) {
             HttpRequestParser::State::kError);
 }
 
+// ---- Result-cache hits on the loop thread ---------------------------------
+
+TEST(EventLoopTest, InlineRepliesRunIterativelyWithoutStackGrowth) {
+  // Every reply is answered on the spot; the framing loop must walk the
+  // pipelined burst iteratively, so every handler call sits at the same
+  // stack depth (a recursive walk would deepen by a frame per request).
+  uintptr_t lowest = UINTPTR_MAX, highest = 0;  // loop thread only
+  EventLoop loop(
+      EventLoopOptions{},
+      [&](EventLoop*, uint64_t, std::string line) {
+        volatile char marker = 0;
+        const uintptr_t at = reinterpret_cast<uintptr_t>(&marker);
+        lowest = std::min(lowest, at);
+        highest = std::max(highest, at);
+        Reply reply;
+        reply.bytes = line + "\nEND\n";
+        return reply;
+      },
+      [](EventLoop*, uint64_t, HttpRequest) { return Reply{}; },
+      /*on_accept=*/nullptr);
+  SOFOS_ASSERT_OK(loop.Start());
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  loop.AddConnection(fds[0], ConnKind::kLine);
+
+  constexpr int kLines = 2000;
+  std::string burst, expected;
+  for (int i = 0; i < kLines; ++i) {
+    burst += "ping " + std::to_string(i) + "\n";
+    expected += "ping " + std::to_string(i) + "\nEND\n";
+  }
+  std::string got = RawLineExchange(fds[1], burst, kLines);
+  EXPECT_TRUE(got == expected) << "got " << got.size() << " bytes, expected "
+                               << expected.size();
+  loop.Stop();  // joins the loop thread: its writes are visible now
+  ::close(fds[1]);
+  ASSERT_LE(lowest, highest);
+  EXPECT_LT(highest - lowest, 256u) << "handler stack depth varied";
+}
+
+TEST_F(EventLoopServerTest, OneCacheLookupPerRequestRepliesMatchThreadMode) {
+  // N distinct queries, then the same N again over the line protocol and
+  // over HTTP (GET and POST alternating): 3N requests, N misses, 2N hits.
+  std::vector<std::string> queries;
+  for (uint32_t mask = 0;
+       mask <= engine_.facet().FullMask() && queries.size() < 6; ++mask) {
+    queries.push_back(engine_.facet().CanonicalQuerySparql(mask));
+  }
+  const size_t n = queries.size();
+  ASSERT_GE(n, 2u);
+
+  auto run = [&](IoMode mode, ResultCacheStats* stats) {
+    ServerOptions options;
+    options.io_mode = mode;
+    SofosServer server(&engine_, options);
+    EXPECT_TRUE(server.Start().ok());
+    std::vector<std::string> replies;
+    int fd = RawConnect(server.port());
+    EXPECT_GE(fd, 0);
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const std::string& q : queries) {
+        replies.push_back(
+            RawLineExchange(fd, "QUERY " + OneLine(q) + "\n", 1));
+      }
+    }
+    for (size_t i = 0; i < n; ++i) {
+      const std::string& q = queries[i];
+      replies.push_back(RawHttp(
+          server.http_port(),
+          i % 2 == 0 ? "GET /query?q=" + UrlEncode(q) + " HTTP/1.0\r\n\r\n"
+                     : "POST /query HTTP/1.0\r\nContent-Length: " +
+                           std::to_string(q.size()) + "\r\n\r\n" + q));
+    }
+    RawLineExchange(fd, "QUIT\n", 1);
+    ::close(fd);
+    *stats = server.CacheStats();
+    server.Stop();
+    return replies;
+  };
+
+  ResultCacheStats event_stats, thread_stats;
+  std::vector<std::string> event = run(IoMode::kEventLoop, &event_stats);
+  std::vector<std::string> thread =
+      run(IoMode::kThreadPerSession, &thread_stats);
+  for (const ResultCacheStats* stats : {&event_stats, &thread_stats}) {
+    EXPECT_EQ(stats->hits + stats->misses, 3 * n);
+    EXPECT_EQ(stats->misses, n);
+  }
+  ASSERT_EQ(event.size(), 3 * n);
+  ASSERT_EQ(thread.size(), 3 * n);
+  for (size_t i = 0; i < 3 * n; ++i) {
+    const bool repeat = i >= n;
+    EXPECT_EQ(MaskExecMicros(event[i]), MaskExecMicros(thread[i]))
+        << "reply " << i;
+    const bool cached =
+        event[i].find(i < 2 * n ? "cached=1" : "\"cached\":true") !=
+        std::string::npos;
+    EXPECT_EQ(cached, repeat) << event[i];
+  }
+}
+
+TEST_F(EventLoopServerTest, PipelinedCachedQueriesAnsweredInOrder) {
+  ServerOptions options;
+  options.io_threads = 1;
+  SofosServer server(&engine_, options);
+  SOFOS_ASSERT_OK(server.Start());
+
+  std::vector<std::string> queries;
+  for (uint32_t mask = 0; mask < 4; ++mask) {
+    queries.push_back(OneLine(engine_.facet().CanonicalQuerySparql(
+        mask & engine_.facet().FullMask())));
+  }
+  int fd = RawConnect(server.port());
+  ASSERT_GE(fd, 0);
+  // Warm the cache (misses, on the pool), then capture each hit reply.
+  std::vector<std::string> hit_reply;
+  for (const std::string& q : queries) {
+    RawLineExchange(fd, "QUERY " + q + "\n", 1);
+    hit_reply.push_back(RawLineExchange(fd, "QUERY " + q + "\n", 1));
+    ASSERT_NE(hit_reply.back().find("cached=1"), std::string::npos)
+        << hit_reply.back();
+  }
+
+  const uint64_t loop_hits = server.metrics().loop_cache_hits();
+  const double tasks = PoolTasksStarted(&engine_);
+  constexpr size_t kPipelined = 1200;
+  std::string burst, expected;
+  for (size_t i = 0; i < kPipelined; ++i) {
+    burst += "QUERY " + queries[i % queries.size()] + "\n";
+    expected += hit_reply[i % queries.size()];
+  }
+  std::string got = RawLineExchange(fd, burst, kPipelined);
+  EXPECT_TRUE(got == expected) << "got " << got.size() << " bytes, expected "
+                               << expected.size();
+  EXPECT_EQ(server.metrics().loop_cache_hits() - loop_hits, kPipelined);
+  EXPECT_EQ(PoolTasksStarted(&engine_), tasks);
+  ::close(fd);
+  server.Stop();
+}
+
+TEST_F(EventLoopServerTest, CachedHttpQueryRepliesThenCloses) {
+  ServerOptions options;
+  options.io_threads = 1;
+  SofosServer server(&engine_, options);
+  SOFOS_ASSERT_OK(server.Start());
+  const std::string sparql = engine_.facet().CanonicalQuerySparql(1);
+  BlockingClient client;
+  SOFOS_ASSERT_OK(client.Connect(server.port()));
+  SOFOS_ASSERT_OK_AND_ASSIGN(auto warm, client.Roundtrip("QUERY " + sparql));
+  ASSERT_TRUE(warm.ok()) << warm.header;
+
+  const uint64_t loop_hits = server.metrics().loop_cache_hits();
+  const double tasks = PoolTasksStarted(&engine_);
+  // RawHttp reads until EOF, so each call returning at all shows the
+  // server closed the connection after the inline reply.
+  std::string get = RawHttp(server.http_port(), "GET /query?q=" +
+                                                    UrlEncode(sparql) +
+                                                    " HTTP/1.0\r\n\r\n");
+  EXPECT_EQ(get.rfind("HTTP/1.0 200", 0), 0u) << get;
+  EXPECT_NE(get.find("\"cached\":true"), std::string::npos) << get;
+  std::string post = RawHttp(
+      server.http_port(), "POST /query HTTP/1.0\r\nContent-Length: " +
+                              std::to_string(sparql.size()) + "\r\n\r\n" +
+                              sparql);
+  EXPECT_EQ(post.rfind("HTTP/1.0 200", 0), 0u) << post;
+  EXPECT_NE(post.find("\"cached\":true"), std::string::npos) << post;
+  EXPECT_EQ(get.substr(get.find("\r\n\r\n")), post.substr(post.find("\r\n\r\n")));
+
+  EXPECT_EQ(server.metrics().loop_cache_hits() - loop_hits, 2u);
+  EXPECT_EQ(PoolTasksStarted(&engine_), tasks);
+  using server::Endpoint;
+  EXPECT_EQ(server.metrics()
+                .ForEndpoint(Endpoint::kHttpQuery)
+                .requests.load(std::memory_order_relaxed),
+            2u);
+  // Only the line client remains once the loop has reaped the closes.
+  for (int i = 0; i < 200 && server.open_connections() > 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(server.open_connections(), 1u);
+  client.Roundtrip("QUIT");
+  server.Stop();
+}
+
+TEST_F(EventLoopServerTest, DisconnectMidInlineReplyLeavesLoopServing) {
+  ServerOptions options;
+  options.io_threads = 1;  // the victim and the survivor share one loop
+  SofosServer server(&engine_, options);
+  SOFOS_ASSERT_OK(server.Start());
+  const std::string sparql = OneLine(engine_.facet().ToSparql());  // widest
+  BlockingClient survivor;
+  SOFOS_ASSERT_OK(survivor.Connect(server.port()));
+  SOFOS_ASSERT_OK_AND_ASSIGN(auto warm, survivor.Roundtrip("QUERY " + sparql));
+  ASSERT_TRUE(warm.ok()) << warm.header;
+
+  const uint64_t loop_hits = server.metrics().loop_cache_hits();
+  std::string burst;
+  for (int i = 0; i < 2000; ++i) burst += "QUERY " + sparql + "\n";
+  for (int round = 0; round < 4; ++round) {
+    // A client that pipelines cached queries and never reads: the loop
+    // answers on the spot until the socket is full, so it is mid-reply
+    // when the client resets the connection.
+    int fd = RawConnect(server.port());
+    ASSERT_GE(fd, 0);
+    size_t sent = 0;
+    while (sent < burst.size()) {
+      ssize_t n = ::send(fd, burst.data() + sent, burst.size() - sent,
+                         MSG_NOSIGNAL);
+      if (n <= 0) break;
+      sent += static_cast<size_t>(n);
+    }
+    // Wait until the loop stops answering: the socket is full and the
+    // rest of the reply bytes sit in the connection's output buffer.
+    uint64_t seen = server.metrics().loop_cache_hits();
+    for (int i = 0; i < 200; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      const uint64_t now = server.metrics().loop_cache_hits();
+      if (now == seen && now > loop_hits) break;
+      seen = now;
+    }
+    struct linger hard {1, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &hard, sizeof(hard));
+    ::close(fd);  // RST: the loop's next write or read fails
+  }
+  EXPECT_GT(server.metrics().loop_cache_hits(), loop_hits);
+
+  // The loop shrugged it off: the survivor is answered, and the dead
+  // connections are gone.
+  SOFOS_ASSERT_OK_AND_ASSIGN(auto after, survivor.Roundtrip("QUERY " + sparql));
+  EXPECT_TRUE(after.ok()) << after.header;
+  EXPECT_EQ(after.BodyText(), warm.BodyText());
+  for (int i = 0; i < 200 && server.open_connections() > 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(server.open_connections(), 1u);
+  survivor.Roundtrip("QUIT");
+  server.Stop();
+}
+
+TEST_F(EventLoopServerTest, LoopCacheHitCounterGrowsWithoutDispatch) {
+  ServerOptions options;
+  SofosServer server(&engine_, options);
+  SOFOS_ASSERT_OK(server.Start());
+  BlockingClient client;
+  SOFOS_ASSERT_OK(client.Connect(server.port()));
+  std::vector<std::string> queries;
+  for (uint32_t mask = 0; mask < 3; ++mask) {
+    queries.push_back(engine_.facet().CanonicalQuerySparql(mask));
+  }
+  for (const std::string& q : queries) {
+    SOFOS_ASSERT_OK_AND_ASSIGN(auto miss, client.Roundtrip("QUERY " + q));
+    ASSERT_TRUE(miss.ok()) << miss.header;
+  }
+
+  const std::string kCounter = "sofos_server_loop_cache_hits_total";
+  const double hits = RegistryValue(&engine_, kCounter);
+  const double tasks = PoolTasksStarted(&engine_);
+  ASSERT_GE(hits, 0.0);
+  ASSERT_GE(tasks, 0.0);
+  constexpr int kRepeats = 5;
+  for (int r = 0; r < kRepeats; ++r) {
+    for (const std::string& q : queries) {
+      SOFOS_ASSERT_OK_AND_ASSIGN(auto hit, client.Roundtrip("QUERY " + q));
+      ASSERT_NE(hit.header.find("cached=1"), std::string::npos) << hit.header;
+    }
+  }
+  EXPECT_EQ(RegistryValue(&engine_, kCounter) - hits,
+            static_cast<double>(kRepeats * queries.size()));
+  EXPECT_EQ(PoolTasksStarted(&engine_), tasks);
+  EXPECT_EQ(RegistryValue(&engine_, "sofos_server_inflight_requests"), 0.0);
+  // Hits still count as QUERY requests: the queue model's arrival rate.
+  using server::Endpoint;
+  EXPECT_EQ(server.metrics()
+                .ForEndpoint(Endpoint::kQuery)
+                .requests.load(std::memory_order_relaxed),
+            static_cast<uint64_t>((kRepeats + 1) * queries.size()));
+  client.Roundtrip("QUIT");
+  server.Stop();
+}
+
 // ---- Byte-identity across io modes ----------------------------------------
 
 TEST_F(EventLoopServerTest, IoModesAnswerByteIdentically) {
   // The same scripted session against both io modes: every framed
-  // response must match byte for byte (modulo the wall-clock micros
-  // figure in QUERY headers).
+  // response must match byte for byte (modulo the execution micros
+  // figure in uncached QUERY headers).
   std::vector<std::string> script = {
       "QUERY " + engine_.facet().CanonicalQuerySparql(1),
       "QUERY " + engine_.facet().CanonicalQuerySparql(1),  // cache hit
@@ -584,7 +949,7 @@ TEST_F(EventLoopServerTest, IoModesAnswerByteIdentically) {
       auto response = client.Roundtrip(line);
       EXPECT_TRUE(response.ok()) << line;
       if (!response.ok()) break;
-      transcript.push_back(MaskMicros(response->header) + "\n" +
+      transcript.push_back(MaskExecMicros(response->header) + "\n" +
                            response->BodyText());
     }
     client.Roundtrip("QUIT");

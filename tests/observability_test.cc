@@ -630,7 +630,7 @@ TEST_F(ObservabilityServerTest, AnalyzeTraceAndMetricsVerbs) {
            "sofos_server_requests_total{endpoint=\"update\"}",
            "sofos_server_request_micros{endpoint=\"query\"",
            "sofos_server_accepted_total",
-           "sofos_server_cache_hits_total",
+           "sofos_server_loop_cache_hits_total",
            "sofos_cache_hits_total",
            "sofos_cache_misses_total",
            "sofos_cache_ttl_expired_total",

@@ -450,7 +450,7 @@ TEST_F(ServerTest, SingleSessionBasics) {
   ASSERT_TRUE(second.ok()) << second.header;
   EXPECT_NE(second.header.find("cached=1"), std::string::npos);
   EXPECT_EQ(first.BodyText(), second.BodyText());
-  EXPECT_EQ(server.metrics().cache_hits(), 1u);
+  EXPECT_EQ(server.CacheStats().hits, 1u);
 
   // EXPLAIN defaults to the root view query.
   SOFOS_ASSERT_OK_AND_ASSIGN(auto explain, client.Roundtrip("EXPLAIN"));
@@ -686,8 +686,7 @@ TEST_F(ServerTest, ConcurrentMixedTrafficMatchesSnapshotsByteExactly) {
   const auto& qm = server.metrics().ForEndpoint(server::Endpoint::kQuery);
   EXPECT_EQ(qm.requests.load(),
             static_cast<uint64_t>(kQueryThreads) * kRequestsPerThread + 2);
-  EXPECT_GT(server.metrics().cache_hits() + server.metrics().cache_misses(),
-            0u);
+  EXPECT_GT(server.CacheStats().hits + server.CacheStats().misses, 0u);
 }
 
 }  // namespace
