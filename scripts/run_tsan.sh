@@ -17,7 +17,14 @@ set -euo pipefail
 REPO_ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD_DIR="${1:-$REPO_ROOT/build-tsan}"
 
-cmake -B "$BUILD_DIR" -S "$REPO_ROOT" -DSOFOS_TSAN=ON \
+# Ninja builds a --target list in parallel; the Makefile generator builds
+# the targets one after another. A tree already configured keeps its
+# generator.
+GENERATOR=()
+if [[ ! -f "$BUILD_DIR/CMakeCache.txt" ]] && command -v ninja >/dev/null; then
+  GENERATOR=(-G Ninja)
+fi
+cmake -B "$BUILD_DIR" -S "$REPO_ROOT" "${GENERATOR[@]}" -DSOFOS_TSAN=ON \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
   --target maintenance_test parallel_test exec_test server_test \

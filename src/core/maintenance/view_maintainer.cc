@@ -796,23 +796,6 @@ void ViewMaintainer::MaintainView(ViewState* view,
     }
   };
 
-  auto stage_row_delete = [&](const Key& key, const RowInfo& info) {
-    out->deletes.push_back(Triple{info.blank, view_pred_id_, view->view_iri_id});
-    for (size_t j = 0; j < view->dims.size(); ++j) {
-      if (key[j] != kNullTermId) {
-        out->deletes.push_back(Triple{
-            info.blank, dim_pred_ids_[static_cast<size_t>(view->dims[j])],
-            key[j]});
-      }
-    }
-    if (info.value_id != kNullTermId) {
-      out->deletes.push_back(Triple{info.blank, value_pred_id_, info.value_id});
-    }
-    if (info.rows_id != kNullTermId) {
-      out->deletes.push_back(Triple{info.blank, rows_pred_id_, info.rows_id});
-    }
-  };
-
   for (const Key& key : affected) {
     Accum acc;
     bool live = false;
@@ -861,8 +844,57 @@ void ViewMaintainer::MaintainView(ViewState* view,
       }
     }
 
+    KeyOutcome outcome;
+    outcome.key = key;
+    outcome.live = live;
+    if (live) {
+      // Finalize the rolled-up cell exactly as the executor would.
+      switch (facet_->agg_kind()) {
+        case sparql::AggKind::kCount:
+        case sparql::AggKind::kSum:
+        case sparql::AggKind::kAvg:  // encoded as SUM (see Materializer)
+          outcome.value = acc.saw_double
+                              ? Term::Double(acc.dsum +
+                                             static_cast<double>(acc.isum))
+                              : Term::Integer(acc.isum);
+          break;
+        case sparql::AggKind::kMin:
+        case sparql::AggKind::kMax: {
+          if (acc.has_best) {
+            auto term = acc.best.ToTerm();
+            if (term.ok()) outcome.value = std::move(*term);
+          }
+          break;
+        }
+      }
+      outcome.rows = acc.rows;
+    }
+    out->outcomes.push_back(std::move(outcome));
+  }
+}
+
+void ViewMaintainer::EncodeView(ViewState* view, StagedEdits* out) const {
+  auto stage_row_delete = [&](const Key& key, const RowInfo& info) {
+    out->deletes.push_back(Triple{info.blank, view_pred_id_, view->view_iri_id});
+    for (size_t j = 0; j < view->dims.size(); ++j) {
+      if (key[j] != kNullTermId) {
+        out->deletes.push_back(Triple{
+            info.blank, dim_pred_ids_[static_cast<size_t>(view->dims[j])],
+            key[j]});
+      }
+    }
+    if (info.value_id != kNullTermId) {
+      out->deletes.push_back(Triple{info.blank, value_pred_id_, info.value_id});
+    }
+    if (info.rows_id != kNullTermId) {
+      out->deletes.push_back(Triple{info.blank, rows_pred_id_, info.rows_id});
+    }
+  };
+
+  for (const KeyOutcome& outcome : out->outcomes) {
+    const Key& key = outcome.key;
     auto rit = view->rows.find(key);
-    if (!live) {
+    if (!outcome.live) {
       if (rit != view->rows.end()) {
         stage_row_delete(key, rit->second);
         view->rows.erase(rit);
@@ -871,29 +903,11 @@ void ViewMaintainer::MaintainView(ViewState* view,
       continue;
     }
 
-    // Finalize the rolled-up cell exactly as the executor would.
-    TermId value_id = kNullTermId;
-    switch (facet_->agg_kind()) {
-      case sparql::AggKind::kCount:
-      case sparql::AggKind::kSum:
-      case sparql::AggKind::kAvg:  // encoded as SUM (see Materializer)
-        value_id = store_->Intern(acc.saw_double
-                                      ? Term::Double(acc.dsum +
-                                                     static_cast<double>(acc.isum))
-                                      : Term::Integer(acc.isum));
-        break;
-      case sparql::AggKind::kMin:
-      case sparql::AggKind::kMax: {
-        if (acc.has_best) {
-          auto term = acc.best.ToTerm();
-          if (term.ok()) value_id = store_->Intern(*term);
-        }
-        break;
-      }
-    }
-    TermId rows_id =
-        store_->Intern(Term::Integer(static_cast<int64_t>(acc.rows)));
-
+    const TermId value_id = outcome.value.has_value()
+                                ? store_->Intern(*outcome.value)
+                                : kNullTermId;
+    const TermId rows_id =
+        store_->Intern(Term::Integer(static_cast<int64_t>(outcome.rows)));
     if (rit == view->rows.end()) {
       // Fresh group key: encode a new blank-node row. The "mvm_" prefix
       // keeps maintained rows disjoint from the materializer's "mv_" ones.
@@ -1003,6 +1017,9 @@ Result<MaintenanceReport> ViewMaintainer::MaintainAll(ThreadPool* pool) {
     ParallelForEach(pool, views_.size(), [&](size_t i) {
       MaintainView(&views_[i], diff, &staged[i]);
     });
+    for (size_t i = 0; i < views_.size(); ++i) {
+      EncodeView(&views_[i], &staged[i]);
+    }
     report.maintain_micros = maintain_timer.ElapsedMicros();
 
     for (StagedEdits& edits : staged) {

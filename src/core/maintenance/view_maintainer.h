@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -243,8 +244,20 @@ class ViewMaintainer {
     uint64_t next_fresh = 0;  // fresh blank-node counter
   };
 
-  /// Triple edits staged by one view's maintenance task.
+  /// One affected group key of a view after the roll-up fold: whether the
+  /// group survives, and the literals its row must carry. Terms, not ids:
+  /// interning happens later, serially (see EncodeView).
+  struct KeyOutcome {
+    Key key;
+    bool live = false;
+    std::optional<Term> value;  // nullopt: no sofos:value triple
+    uint64_t rows = 0;
+  };
+
+  /// One view's maintenance work: the folded key outcomes (MaintainView),
+  /// then the triple edits encoded from them (EncodeView).
   struct StagedEdits {
+    std::vector<KeyOutcome> outcomes;
     std::vector<Triple> adds;
     std::vector<Triple> deletes;
     ViewMaintenance stats;
@@ -280,10 +293,17 @@ class ViewMaintainer {
   Result<std::vector<RootDiff>> ComputeFullDiff(ThreadPool* pool);
   void ApplyRootDiff(const std::vector<RootDiff>& diff);
 
-  /// Rolls the root diff up into one view and stages the triple edits.
-  /// Mutates only `view` and `out`; reads root_ in its post-repair state.
+  /// Rolls the root diff up into one view's accumulators and records the
+  /// affected keys' outcomes in `out->outcomes`. Mutates only `view`'s
+  /// cells/buckets and `out`; reads root_ in its post-repair state and
+  /// never interns, so views fold in parallel.
   void MaintainView(ViewState* view, const std::vector<RootDiff>& diff,
                     StagedEdits* out) const;
+  /// Interns the outcomes' literals and fresh blank labels and stages the
+  /// row edits. Run serially in view order: term ids then follow one fixed
+  /// interning sequence, so the maintained store is id-identical at every
+  /// thread count.
+  void EncodeView(ViewState* view, StagedEdits* out) const;
 
   TripleStore* store_;
   const Facet* facet_;

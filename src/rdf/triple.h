@@ -2,7 +2,7 @@
 #define SOFOS_RDF_TRIPLE_H_
 
 #include <algorithm>
-#include <iterator>
+#include <functional>
 #include <tuple>
 #include <vector>
 
@@ -40,25 +40,51 @@ struct TripleIdPattern {
 };
 
 /// Applies a sorted, deduplicated delta to a sorted, deduplicated triple
-/// set: returns (base \ deletes) ∪ adds, sorted and deduplicated. A triple
-/// present on both sides survives — the one definition of delta semantics,
-/// shared by TripleStore::ApplyDelta (per-index, with tombstones), the
-/// engine's base-snapshot mirror, and the update-stream generator.
-inline std::vector<Triple> ApplySortedDelta(const std::vector<Triple>& base,
-                                            const std::vector<Triple>& adds,
-                                            const std::vector<Triple>& deletes) {
-  std::vector<Triple> effective_deletes;
-  std::set_difference(deletes.begin(), deletes.end(), adds.begin(), adds.end(),
-                      std::back_inserter(effective_deletes));
-  std::vector<Triple> stripped;
-  stripped.reserve(base.size());
-  std::set_difference(base.begin(), base.end(), effective_deletes.begin(),
-                      effective_deletes.end(), std::back_inserter(stripped));
+/// run: returns (base \ deletes) ∪ adds in `less` order. A triple staged on
+/// both sides survives, an add already in `base` and a delete absent from
+/// it are no-ops — the one definition of delta semantics, shared by
+/// TripleStore::ApplyDelta (canonical array and every shard run), the
+/// engine's base-snapshot mirror, and the update-stream generator. All
+/// three inputs must be sorted and duplicate-free under `less`, a strict
+/// total order on triples.
+///
+/// Splice kernel: each delta triple is located with a lower_bound from the
+/// previous position and the unchanged span in between is bulk-copied
+/// (a memmove for a trivially copyable Triple), so the cost is
+/// O(|base| / memcpy speed + d log |base|) rather than a per-triple
+/// compare-and-push over the whole run.
+template <typename Less = std::less<Triple>>
+std::vector<Triple> ApplySortedDelta(const std::vector<Triple>& base,
+                                     const std::vector<Triple>& adds,
+                                     const std::vector<Triple>& deletes,
+                                     Less less = Less()) {
   std::vector<Triple> out;
-  out.reserve(stripped.size() + adds.size());
-  std::merge(stripped.begin(), stripped.end(), adds.begin(), adds.end(),
-             std::back_inserter(out));
-  out.erase(std::unique(out.begin(), out.end()), out.end());
+  out.reserve(base.size() + adds.size());
+  auto pos = base.begin();
+  auto a = adds.begin();
+  auto d = deletes.begin();
+  while (a != adds.end() || d != deletes.end()) {
+    // Next delta key in order; an add and a delete of the same triple are
+    // one event (the add wins).
+    const bool take_add =
+        a != adds.end() && (d == deletes.end() || !less(*d, *a));
+    const Triple& key = take_add ? *a : *d;
+    const bool is_delete_too =
+        take_add && d != deletes.end() && !less(*a, *d);
+    auto it = std::lower_bound(pos, base.end(), key, less);
+    out.insert(out.end(), pos, it);
+    pos = it;
+    const bool present = it != base.end() && !less(key, *it);
+    if (present) ++pos;  // re-emitted below if it survives
+    if (take_add) {
+      out.push_back(key);
+      ++a;
+      if (is_delete_too) ++d;
+    } else {
+      ++d;  // delete: dropped if present, a no-op otherwise
+    }
+  }
+  out.insert(out.end(), pos, base.end());
   return out;
 }
 

@@ -70,32 +70,6 @@ struct PermLess {
   }
 };
 
-/// One linear pass merging `adds` into `index` while dropping `deletes`;
-/// all three inputs sorted by `less`. `adds` must be disjoint from `index`
-/// and `deletes` a subset of it (ApplyDelta normalizes the staged buffers
-/// to these effective sets), so the output needs no deduplication.
-std::vector<Triple> MergeDelta(const std::vector<Triple>& index,
-                               const std::vector<Triple>& adds,
-                               const std::vector<Triple>& deletes,
-                               const PermLess& less) {
-  std::vector<Triple> out;
-  out.reserve(index.size() + adds.size() - deletes.size());
-  size_t i = 0, a = 0, d = 0;
-  while (i < index.size() || a < adds.size()) {
-    if (a >= adds.size() || (i < index.size() && !less(adds[a], index[i]))) {
-      if (d < deletes.size() && deletes[d] == index[i]) {
-        ++d;  // tombstone: skip the deleted triple
-        ++i;
-      } else {
-        out.push_back(index[i++]);
-      }
-    } else {
-      out.push_back(adds[a++]);
-    }
-  }
-  return out;
-}
-
 /// splitmix64 finalizer: deterministic across platforms, mixes the dense
 /// low-entropy TermId space well enough that buckets stay balanced.
 inline uint64_t MixId(TermId id) {
@@ -118,7 +92,6 @@ TripleStore::TripleStore(TripleStore&& other)
       pending_(std::move(other.pending_)),
       shard_count_(other.shard_count_),
       families_(std::move(other.families_)),
-      bucket_nodes_(std::move(other.bucket_nodes_)),
       delta_adds_(std::move(other.delta_adds_)),
       delta_deletes_(std::move(other.delta_deletes_)),
       predicate_stats_(std::move(other.predicate_stats_)),
@@ -135,7 +108,6 @@ TripleStore& TripleStore::operator=(TripleStore&& other) {
     pending_ = std::move(other.pending_);
     shard_count_ = other.shard_count_;
     families_ = std::move(other.families_);
-    bucket_nodes_ = std::move(other.bucket_nodes_);
     delta_adds_ = std::move(other.delta_adds_);
     delta_deletes_ = std::move(other.delta_deletes_);
     predicate_stats_ = std::move(other.predicate_stats_);
@@ -153,7 +125,6 @@ void TripleStore::Reset() {
   pending_.clear();
   shard_count_ = 1;
   for (auto& family : families_) family.clear();
-  bucket_nodes_.clear();
   delta_adds_.clear();
   delta_deletes_.clear();
   predicate_stats_.clear();
@@ -174,7 +145,6 @@ TripleStore TripleStore::Clone() const {
   copy.canonical_ = canonical_;  // COW: replaced wholesale on mutation
   copy.shard_count_ = shard_count_;
   copy.families_ = families_;  // COW: 3 * shard_count pointer copies
-  copy.bucket_nodes_ = bucket_nodes_;
   copy.predicate_stats_ = predicate_stats_;
   copy.num_nodes_ = num_nodes_;
   copy.finalized_ = true;
@@ -195,7 +165,6 @@ TripleStore TripleStore::DeepClone() const {
       copy.families_[f].push_back(std::make_shared<const Shard>(*shard));
     }
   }
-  copy.bucket_nodes_ = bucket_nodes_;
   copy.predicate_stats_ = predicate_stats_;
   copy.num_nodes_ = num_nodes_;
   copy.finalized_ = true;
@@ -429,24 +398,34 @@ uint64_t TripleStore::ComputeBucketNodes(size_t k) const {
   return nodes;
 }
 
-void TripleStore::RefreshStats(const std::vector<bool>* dirty_buckets) {
+bool TripleStore::HasLead(const Shard& shard, int family, TermId id) {
+  if (shard.compact) {
+    return std::binary_search(shard.node_ids.begin(), shard.node_ids.end(), id);
+  }
+  // runs[0] is the family's primary order, led by the partition field; the
+  // all-zero minor fields make the probe the smallest triple with that lead.
+  const std::vector<Triple>& run = shard.runs[0];
+  const int field = kFamilyField[family];
+  Triple probe;
+  SetField(&probe, field, id);
+  auto it = std::lower_bound(run.begin(), run.end(), probe,
+                             PermLess{kPerms[family * 2]});
+  return it != run.end() && Field(*it, field) == id;
+}
+
+bool TripleStore::IsNode(TermId id) const {
+  const size_t k = ShardIndexFor(id, shard_count_);
+  return HasLead(*families_[kSubjectFamily][k], kSubjectFamily, id) ||
+         HasLead(*families_[kObjectFamily][k], kObjectFamily, id);
+}
+
+void TripleStore::RefreshPredicateStats() {
   predicate_stats_.clear();
   for (const auto& shard : families_[kPredicateFamily]) {
     for (const auto& [pred, stats] : shard->stats) {
       predicate_stats_.emplace(pred, stats);
     }
   }
-  if (bucket_nodes_.size() != shard_count_) {
-    bucket_nodes_.assign(shard_count_, 0);
-    dirty_buckets = nullptr;  // shard count changed: everything is dirty
-  }
-  for (size_t k = 0; k < shard_count_; ++k) {
-    if (dirty_buckets == nullptr || (*dirty_buckets)[k]) {
-      bucket_nodes_[k] = ComputeBucketNodes(k);
-    }
-  }
-  num_nodes_ = 0;
-  for (uint64_t n : bucket_nodes_) num_nodes_ += n;
 }
 
 void TripleStore::BuildShards(ThreadPool* pool) {
@@ -494,7 +473,9 @@ void TripleStore::BuildShards(ThreadPool* pool) {
         fresh[f][k] = std::move(shard);
       });
   for (int f = 0; f < kNumFamilies; ++f) families_[f] = std::move(fresh[f]);
-  RefreshStats(nullptr);
+  RefreshPredicateStats();
+  num_nodes_ = 0;
+  for (size_t k = 0; k < shard_count_; ++k) num_nodes_ += ComputeBucketNodes(k);
 }
 
 void TripleStore::SetShardCount(size_t count, ThreadPool* pool) {
@@ -568,25 +549,45 @@ DeltaApplyResult TripleStore::ApplyDelta(ThreadPool* pool) {
     size_t bucket;
   };
   std::vector<ShardTask> tasks;
-  std::vector<bool> dirty_nodes(shard_count_, false);
   for (int f = 0; f < kNumFamilies; ++f) {
     for (size_t k = 0; k < shard_count_; ++k) {
       if (f_adds[f][k].empty() && f_deletes[f][k].empty()) continue;
       tasks.push_back(ShardTask{f, k});
-      if (f != kPredicateFamily) dirty_nodes[k] = true;
     }
   }
   result.shards_rebuilt = tasks.size();
 
-  // Task list: one canonical-array merge plus one merge per touched shard,
-  // all independent; each shard task sorts its own small delta slice into
-  // its two run orders, then merges linearly.
+  // Only a subject/object term of the effective delta can enter or leave
+  // the node set: count which of them are nodes before and after the
+  // swap and move num_nodes_ by the difference (O(d log n), no bucket
+  // re-count).
+  std::vector<TermId> delta_terms;
+  delta_terms.reserve(2 * (adds.size() + deletes.size()));
+  for (const std::vector<Triple>* side : {&adds, &deletes}) {
+    for (const Triple& t : *side) {
+      delta_terms.push_back(t.s);
+      delta_terms.push_back(t.o);
+    }
+  }
+  std::sort(delta_terms.begin(), delta_terms.end());
+  delta_terms.erase(std::unique(delta_terms.begin(), delta_terms.end()),
+                    delta_terms.end());
+  auto count_nodes = [&] {
+    uint64_t nodes = 0;
+    for (TermId id : delta_terms) nodes += IsNode(id) ? 1 : 0;
+    return nodes;
+  };
+  const uint64_t nodes_before = count_nodes();
+
+  // Task list: one canonical-array splice plus one splice per touched
+  // shard, all independent; each shard task sorts its own small delta
+  // slice into its two run orders, then splices it in (ApplySortedDelta
+  // bulk-copies the unchanged spans between delta positions).
   auto fresh_canonical = std::make_shared<std::vector<Triple>>();
   std::vector<std::shared_ptr<const Shard>> replacements(tasks.size());
   ParallelForEach(pool, tasks.size() + 1, [&](size_t i) {
     if (i == tasks.size()) {
-      *fresh_canonical =
-          MergeDelta(*canonical_, adds, deletes, PermLess{kPerms[kSPO]});
+      *fresh_canonical = ApplySortedDelta(*canonical_, adds, deletes);
       return;
     }
     const ShardTask& task = tasks[i];
@@ -594,7 +595,7 @@ DeltaApplyResult TripleStore::ApplyDelta(ThreadPool* pool) {
     auto fresh = std::make_shared<Shard>();
     if (old.compact) {
       // Compact buckets merge in the primary order only: decode the CSR
-      // arrays back to triples, tombstone-merge, re-encode. The slices are
+      // arrays back to triples, splice, re-encode. The slices are
       // this task's alone, so steal them.
       const int order = task.family * 2;
       PermLess less{kPerms[order]};
@@ -607,8 +608,8 @@ DeltaApplyResult TripleStore::ApplyDelta(ThreadPool* pool) {
         std::sort(order_deletes.begin(), order_deletes.end(), less);
       }
       CompressShard(fresh.get(), task.family,
-                    MergeDelta(DecompressShard(old, task.family), order_adds,
-                               order_deletes, less));
+                    ApplySortedDelta(DecompressShard(old, task.family),
+                                     order_adds, order_deletes, less));
     } else {
       for (int run = 0; run < 2; ++run) {
         const int order = task.family * 2 + run;
@@ -625,8 +626,8 @@ DeltaApplyResult TripleStore::ApplyDelta(ThreadPool* pool) {
           std::sort(order_adds.begin(), order_adds.end(), less);
           std::sort(order_deletes.begin(), order_deletes.end(), less);
         }
-        fresh->runs[run] = MergeDelta(old.runs[run], order_adds,
-                                      order_deletes, less);
+        fresh->runs[run] = ApplySortedDelta(old.runs[run], order_adds,
+                                            order_deletes, less);
       }
     }
     if (task.family == kPredicateFamily) ComputeShardStats(fresh.get());
@@ -637,7 +638,8 @@ DeltaApplyResult TripleStore::ApplyDelta(ThreadPool* pool) {
   for (size_t i = 0; i < tasks.size(); ++i) {
     families_[tasks[i].family][tasks[i].bucket] = std::move(replacements[i]);
   }
-  RefreshStats(&dirty_nodes);
+  RefreshPredicateStats();
+  num_nodes_ = num_nodes_ - nodes_before + count_nodes();
 
   result.merge_micros = timer.ElapsedMicros();
   return result;

@@ -84,10 +84,12 @@ struct PredicateStats {
 /// touches*: the delta is partitioned by each family's hash, untouched
 /// buckets keep sharing their old immutable Shard (pointer-aliased across
 /// epochs — the copy-on-write contract the snapshot tests assert), touched
-/// buckets get a freshly merged replacement. For a delta of d triples
-/// against n stored triples this costs O(n + d log d) in the worst case
-/// (every bucket touched) and O(n/shard_count * touched + d log d) for
-/// skewed deltas, versus Finalize()'s O(n log n) six-way re-sort.
+/// buckets get a freshly spliced replacement (ApplySortedDelta: unchanged
+/// spans are bulk-copied, only delta positions are searched). For a delta
+/// of d triples against n stored triples this costs O(d log n) comparisons
+/// plus a memmove-speed copy of the canonical array and of every touched
+/// bucket, versus Finalize()'s O(n log n) six-way re-sort; NumNodes()
+/// moves by a before/after probe of the delta's subject/object terms.
 /// Semantics are set-algebraic: the new graph is (G \ deletes) ∪ adds — a
 /// triple staged on both sides ends up present; deletes of absent triples
 /// and adds of present triples are no-ops (not counted in
@@ -458,12 +460,21 @@ class TripleStore {
   /// Distinct nodes (subject-or-object terms) of bucket `k`: the same hash
   /// partitions subjects (in the subject family) and objects (in the
   /// object family), so bucket node sets are disjoint across k and their
-  /// sizes sum to NumNodes().
+  /// sizes sum to NumNodes(). Used by BuildShards(); ApplyDelta() moves
+  /// the count incrementally through IsNode().
   uint64_t ComputeBucketNodes(size_t k) const;
 
-  /// Re-derives predicate_stats_ (the merged map), bucket_nodes_ for the
-  /// buckets listed in `dirty_buckets` (nullptr = all), and num_nodes_.
-  void RefreshStats(const std::vector<bool>* dirty_buckets);
+  /// True iff `id` leads at least one triple of `shard` (a bucket of
+  /// `family`, subject or object): a node_ids search in the compact
+  /// layout, a primary-run lower_bound otherwise.
+  static bool HasLead(const Shard& shard, int family, TermId id);
+
+  /// True iff `id` occurs as a subject or object anywhere in the store.
+  bool IsNode(TermId id) const;
+
+  /// Re-derives predicate_stats_ (the merged map over the predicate
+  /// shards' per-predicate figures).
+  void RefreshPredicateStats();
 
   std::shared_ptr<Dictionary> dict_;
   /// Canonical SPO-sorted triples; non-null and authoritative while
@@ -476,8 +487,6 @@ class TripleStore {
   size_t shard_count_ = 1;
   /// families_[f] has shard_count_ entries; all non-null while finalized_.
   std::array<std::vector<std::shared_ptr<const Shard>>, kNumFamilies> families_;
-  /// Per-bucket distinct-node counts (see ComputeBucketNodes).
-  std::vector<uint64_t> bucket_nodes_;
   std::vector<Triple> delta_adds_;     // staged, unsorted until ApplyDelta
   std::vector<Triple> delta_deletes_;  // staged, unsorted until ApplyDelta
   /// Merged view over the predicate-family shard maps (kept global so

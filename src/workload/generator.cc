@@ -140,9 +140,12 @@ Result<std::vector<core::maintenance::GraphDelta>> GenerateUpdateStream(
   std::unordered_map<TermId, std::vector<TermId>> objects_by_pred;
   for (const Triple& t : base) objects_by_pred[t.p].push_back(t.o);
 
-  // `current` evolves as batches are generated so that every delete hits a
-  // live triple and every insert is genuinely new at apply time.
-  std::vector<Triple> current = base;  // stays sorted
+  // `current` is the graph state each batch is generated against, so that
+  // every delete hits a live triple and every insert is genuinely new at
+  // apply time. Batch 0 reads `base` in place; a working copy is made
+  // (by the delta splice) only when another batch follows.
+  const std::vector<Triple>* current = &base;  // sorted
+  std::vector<Triple> working;
 
   auto decode = [&](const Triple& t) {
     return TermTriple{dict.term(t.s), dict.term(t.p), dict.term(t.o)};
@@ -156,15 +159,15 @@ Result<std::vector<core::maintenance::GraphDelta>> GenerateUpdateStream(
     ops = std::max(ops, static_cast<size_t>(std::max(options.min_batch_ops, 1)));
     size_t num_deletes = static_cast<size_t>(
         static_cast<double>(ops) * options.delete_fraction);
-    num_deletes = std::min(num_deletes, current.size() > 1 ? current.size() - 1
-                                                           : size_t{0});
+    num_deletes = std::min(
+        num_deletes, current->size() > 1 ? current->size() - 1 : size_t{0});
     size_t num_adds = ops - std::min(ops, num_deletes);
 
     GraphDelta delta;
     std::vector<Triple> batch_deletes;
-    for (size_t i : rng.SampleIndices(current.size(), num_deletes)) {
-      batch_deletes.push_back(current[i]);
-      delta.deletes.push_back(decode(current[i]));
+    for (size_t i : rng.SampleIndices(current->size(), num_deletes)) {
+      batch_deletes.push_back((*current)[i]);
+      delta.deletes.push_back(decode((*current)[i]));
     }
     std::sort(batch_deletes.begin(), batch_deletes.end());
 
@@ -173,10 +176,10 @@ Result<std::vector<core::maintenance::GraphDelta>> GenerateUpdateStream(
       // A handful of recombination attempts per insert; graphs where every
       // (s, p, o') already exists simply yield a smaller batch.
       for (int attempt = 0; attempt < 16; ++attempt) {
-        const Triple& donor = current[rng.Uniform(current.size())];
+        const Triple& donor = (*current)[rng.Uniform(current->size())];
         const std::vector<TermId>& pool = objects_by_pred[donor.p];
         Triple candidate{donor.s, donor.p, pool[rng.Uniform(pool.size())]};
-        if (std::binary_search(current.begin(), current.end(), candidate) ||
+        if (std::binary_search(current->begin(), current->end(), candidate) ||
             std::binary_search(batch_adds.begin(), batch_adds.end(),
                                candidate)) {
           continue;
@@ -190,7 +193,10 @@ Result<std::vector<core::maintenance::GraphDelta>> GenerateUpdateStream(
     }
 
     // Advance the working copy with the shared delta semantics.
-    current = ApplySortedDelta(current, batch_adds, batch_deletes);
+    if (b + 1 < options.num_batches) {
+      working = ApplySortedDelta(*current, batch_adds, batch_deletes);
+      current = &working;
+    }
 
     stream.push_back(std::move(delta));
   }

@@ -702,6 +702,45 @@ TEST(DeltaMaintenanceTest, DeltaPathThreadCountInvariance) {
   EXPECT_EQ(serial, parallel);
 }
 
+TEST(DeltaMaintenanceTest, TermIdsIdenticalAcrossThreadCounts) {
+  // Stronger than content equality: the maintained store must hold the
+  // same *id* triples at 1 and 4 threads, i.e. literals and fresh blank
+  // labels are interned in one fixed order however the per-view work is
+  // scheduled. Both engines are built serially (the offline pipeline's
+  // parallel queries intern their result literals in completion order,
+  // which this test does not cover), then maintain one shared update
+  // sequence at different thread counts.
+  for (std::string dataset : {"geopop", "lubm"}) {
+    for (auto mode : {MaintainOptions::Mode::kAuto,
+                      MaintainOptions::Mode::kForceFull}) {
+      SCOPED_TRACE(dataset + " mode=" + std::to_string(static_cast<int>(mode)));
+      core::SofosEngine serial, parallel;
+      SetUpMaintenanceEngine(&serial, dataset, mode, 1);
+      SetUpMaintenanceEngine(&parallel, dataset, mode, 1);
+      ASSERT_EQ(serial.store()->triples(), parallel.store()->triples());
+      parallel.SetNumThreads(4);
+      for (uint64_t k = 0; k < 4; ++k) {
+        workload::UpdateStreamOptions options;
+        options.num_batches = 1;
+        options.batch_fraction = 0.02;
+        options.seed = 99 + k;
+        SOFOS_ASSERT_OK_AND_ASSIGN(
+            auto stream,
+            workload::GenerateUpdateStream(serial.base_snapshot(),
+                                           serial.store()->dictionary(),
+                                           options));
+        SOFOS_ASSERT_OK(serial.ApplyUpdates(stream[0]).status());
+        SOFOS_ASSERT_OK(parallel.ApplyUpdates(stream[0]).status());
+        ASSERT_EQ(serial.store()->triples(), parallel.store()->triples())
+            << "update " << k;
+        EXPECT_EQ(serial.store()->NumNodes(), parallel.store()->NumNodes());
+        EXPECT_EQ(serial.store()->predicate_stats().size(),
+                  parallel.store()->predicate_stats().size());
+      }
+    }
+  }
+}
+
 TEST(StalenessTest, DriftTriggersReselection) {
   core::SofosEngine engine;
   testing::SetUpEngine(&engine, "geopop");

@@ -6,6 +6,8 @@
 ///     exactly the delta-touched shards and leaves clones byte-stable
 ///   - repartitioning via SetShardCount and the shared-dictionary contract
 
+#include <algorithm>
+#include <functional>
 #include <set>
 #include <string>
 #include <tuple>
@@ -207,6 +209,196 @@ TEST(ShardInvarianceTest, ParallelFinalizeAndDeltaMatchSerial) {
   EXPECT_EQ(ScanImage(parallel, kNullTermId, kNullTermId, kNullTermId),
             ScanImage(serial, kNullTermId, kNullTermId, kNullTermId));
   EXPECT_EQ(serial.NumNodes(), parallel.NumNodes());
+}
+
+/// The delta splice kernel against a std::set reference, in SPO order and
+/// under a non-default comparator (POS), over a universe small enough that
+/// adds of present triples, deletes of absent ones, triples on both sides
+/// and edits at either end of the run all occur.
+TEST(SpliceKernelTest, MatchesSetReference) {
+  Rng rng(5);
+  auto pos_less = [](const Triple& x, const Triple& y) {
+    return std::tie(x.p, x.o, x.s) < std::tie(y.p, y.o, y.s);
+  };
+  auto random_triple = [&] {
+    return Triple{static_cast<TermId>(1 + rng.Uniform(6)),
+                  static_cast<TermId>(1 + rng.Uniform(3)),
+                  static_cast<TermId>(1 + rng.Uniform(6))};
+  };
+  auto in_order = [](const std::set<Triple>& set, auto less) {
+    std::vector<Triple> v(set.begin(), set.end());
+    std::sort(v.begin(), v.end(), less);
+    return v;
+  };
+  for (int round = 0; round < 400; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    std::set<Triple> base, adds, deletes;
+    const size_t nb = rng.Uniform(48), na = rng.Uniform(10),
+                 nd = rng.Uniform(10);
+    for (size_t i = 0; i < nb; ++i) base.insert(random_triple());
+    for (size_t i = 0; i < na; ++i) adds.insert(random_triple());
+    for (size_t i = 0; i < nd; ++i) deletes.insert(random_triple());
+    if (!base.empty()) {
+      if (rng.Chance(0.3)) deletes.insert(*base.begin());
+      if (rng.Chance(0.3)) deletes.insert(*base.rbegin());
+      if (rng.Chance(0.2)) adds.insert(*base.rbegin());
+    }
+    std::set<Triple> expected = base;
+    for (const Triple& t : deletes) expected.erase(t);
+    expected.insert(adds.begin(), adds.end());
+
+    const std::less<Triple> spo_less;
+    EXPECT_EQ(ApplySortedDelta(in_order(base, spo_less),
+                               in_order(adds, spo_less),
+                               in_order(deletes, spo_less)),
+              in_order(expected, spo_less));
+    EXPECT_EQ(ApplySortedDelta(in_order(base, pos_less),
+                               in_order(adds, pos_less),
+                               in_order(deletes, pos_less), pos_less),
+              in_order(expected, pos_less));
+  }
+}
+
+/// The first observable difference between two finalized stores over ids
+/// 1..max_id: sizes, node and predicate statistics, the full scan, and
+/// the byte image and count of every single- and two-bound scan shape.
+/// Empty when they agree.
+std::string FirstStoreDifference(const TripleStore& store,
+                                 const TripleStore& control, TermId max_id) {
+  if (store.NumTriples() != control.NumTriples()) return "NumTriples";
+  if (store.NumNodes() != control.NumNodes()) {
+    return "NumNodes " + std::to_string(store.NumNodes()) + " vs " +
+           std::to_string(control.NumNodes());
+  }
+  if (store.NumPredicates() != control.NumPredicates()) return "NumPredicates";
+  for (const auto& [pred, want] : control.predicate_stats()) {
+    const PredicateStats* got = store.StatsFor(pred);
+    if (got == nullptr || got->triples != want.triples ||
+        got->distinct_subjects != want.distinct_subjects ||
+        got->distinct_objects != want.distinct_objects) {
+      return "stats of predicate " + std::to_string(pred);
+    }
+  }
+  if (ScanImage(store, kNullTermId, kNullTermId, kNullTermId) !=
+      ScanImage(control, kNullTermId, kNullTermId, kNullTermId)) {
+    return "full scan";
+  }
+  auto same = [&](TermId s, TermId p, TermId o) {
+    return ScanImage(store, s, p, o) == ScanImage(control, s, p, o) &&
+           store.Count(s, p, o) == control.Count(s, p, o);
+  };
+  constexpr TermId kAny = kNullTermId;
+  for (TermId a = 1; a <= max_id; ++a) {
+    if (!same(a, kAny, kAny) || !same(kAny, a, kAny) || !same(kAny, kAny, a)) {
+      return "single-bound scan on id " + std::to_string(a);
+    }
+    for (TermId b = 1; b <= max_id; ++b) {
+      if (!same(a, b, kAny) || !same(kAny, a, b) || !same(a, kAny, b)) {
+        return "two-bound scan on ids " + std::to_string(a) + "," +
+               std::to_string(b);
+      }
+    }
+  }
+  return "";
+}
+
+/// Randomized ApplyDelta property: after each of 120 random deltas, the
+/// delta-merged store is indistinguishable from a store finalized from
+/// scratch over the reference set (G \ D) ∪ A, at shard counts {1, 4, 64}
+/// in both layouts. Deltas mix adds already present, deletes of absent
+/// triples, triples staged on both sides, and edits at the ends of the id
+/// range (hence of the canonical array and of many shard runs).
+TEST(DeltaPropertyTest, RandomDeltasMatchFinalizeControl) {
+  // Subjects 1..10, predicates 11..14, objects 5..20: ids 5..10 are both
+  // subjects and objects, so node counting sees shared terms.
+  constexpr TermId kMaxId = 20;
+  auto random_triple = [](Rng* rng) {
+    return Triple{static_cast<TermId>(1 + rng->Uniform(10)),
+                  static_cast<TermId>(11 + rng->Uniform(4)),
+                  static_cast<TermId>(5 + rng->Uniform(16))};
+  };
+  ThreadPool pool(2);
+  for (size_t shards : {1u, 4u, 64u}) {
+    for (bool compact : {false, true}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " compact=" + std::to_string(compact));
+      Rng rng(1000 + shards + (compact ? 1 : 0));
+      std::set<Triple> reference;
+      for (int i = 0; i < 150; ++i) reference.insert(random_triple(&rng));
+      TripleStore store;
+      store.SetShardCount(shards);
+      store.SetCompactLayout(compact);
+      store.ReplaceTriples({reference.begin(), reference.end()});
+      store.Finalize();
+
+      for (int step = 0; step < 120; ++step) {
+        SCOPED_TRACE("step " + std::to_string(step));
+        std::vector<Triple> current(reference.begin(), reference.end());
+        auto live = [&] { return current[rng.Uniform(current.size())]; };
+        std::vector<Triple> adds, deletes;
+        const size_t ops = 1 + rng.Uniform(12);
+        for (size_t i = 0; i < ops; ++i) {
+          switch (rng.Uniform(6)) {
+            case 0:  // a (usually) fresh add
+              adds.push_back(random_triple(&rng));
+              break;
+            case 1:  // an add already present
+              if (!current.empty()) adds.push_back(live());
+              break;
+            case 2:  // a delete of a live triple
+              if (!current.empty()) deletes.push_back(live());
+              break;
+            case 3:  // a (usually) absent delete
+              deletes.push_back(random_triple(&rng));
+              break;
+            case 4: {  // the same triple on both sides
+              Triple t = current.empty() || rng.Chance(0.5)
+                             ? random_triple(&rng)
+                             : live();
+              adds.push_back(t);
+              deletes.push_back(t);
+              break;
+            }
+            default: {  // the ends of the id range and of the array
+              const bool low = rng.Chance(0.5);
+              const Triple extreme = low ? Triple{1, 11, 5} : Triple{10, 14, 20};
+              (rng.Chance(0.5) ? adds : deletes).push_back(extreme);
+              if (!current.empty()) {
+                deletes.push_back(low ? current.front() : current.back());
+              }
+              break;
+            }
+          }
+        }
+        // Staged in arbitrary order, duplicates included: ApplyDelta
+        // normalizes.
+        if (rng.Chance(0.3) && !adds.empty()) adds.push_back(adds.front());
+
+        std::set<Triple> add_set(adds.begin(), adds.end());
+        uint64_t want_adds = 0, want_deletes = 0;
+        for (const Triple& t : std::set<Triple>(deletes.begin(), deletes.end())) {
+          if (add_set.count(t) == 0 && reference.erase(t) > 0) ++want_deletes;
+        }
+        for (const Triple& t : add_set) {
+          if (reference.insert(t).second) ++want_adds;
+        }
+
+        for (const Triple& t : adds) store.StageAdd(t.s, t.p, t.o);
+        for (const Triple& t : deletes) store.StageDelete(t.s, t.p, t.o);
+        DeltaApplyResult result =
+            store.ApplyDelta(step % 2 == 0 ? nullptr : &pool);
+        EXPECT_EQ(result.adds_applied, want_adds);
+        EXPECT_EQ(result.deletes_applied, want_deletes);
+
+        TripleStore control;
+        control.SetShardCount(shards);
+        control.SetCompactLayout(compact);
+        control.ReplaceTriples({reference.begin(), reference.end()});
+        control.Finalize();
+        ASSERT_EQ(FirstStoreDifference(store, control, kMaxId), "");
+      }
+    }
+  }
 }
 
 TEST(CowTest, CloneAliasesEveryShardAndTheCanonicalArray) {

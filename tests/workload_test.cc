@@ -1,7 +1,13 @@
 #include "workload/generator.h"
 
+#include <algorithm>
+#include <iterator>
 #include <set>
+#include <string>
+#include <unordered_map>
+#include <vector>
 
+#include "common/rng.h"
 #include "gtest/gtest.h"
 #include "sparql/parser.h"
 #include "sparql/query_engine.h"
@@ -154,6 +160,115 @@ TEST_F(WorkloadTest, RangeFiltersOnNumericDims) {
     }
   }
   EXPECT_TRUE(saw_range) << "year is numeric: range filters must appear";
+}
+
+/// The update-stream generator's naive form, kept as the parity oracle:
+/// copy the whole base up front and advance the copy after every batch
+/// with three set-algebra passes (set_difference, set_difference, merge +
+/// unique). GenerateUpdateStream must emit exactly the same stream.
+std::vector<core::maintenance::GraphDelta> NaiveUpdateStream(
+    const std::vector<Triple>& base, const Dictionary& dict,
+    const UpdateStreamOptions& options) {
+  using core::maintenance::GraphDelta;
+  using core::maintenance::TermTriple;
+  Rng rng(options.seed);
+  std::unordered_map<TermId, std::vector<TermId>> objects_by_pred;
+  for (const Triple& t : base) objects_by_pred[t.p].push_back(t.o);
+  std::vector<Triple> current = base;
+  auto decode = [&](const Triple& t) {
+    return TermTriple{dict.term(t.s), dict.term(t.p), dict.term(t.o)};
+  };
+  std::vector<GraphDelta> stream;
+  for (int b = 0; b < options.num_batches; ++b) {
+    size_t ops = static_cast<size_t>(static_cast<double>(base.size()) *
+                                     options.batch_fraction);
+    ops = std::max(ops, static_cast<size_t>(std::max(options.min_batch_ops, 1)));
+    size_t num_deletes = static_cast<size_t>(static_cast<double>(ops) *
+                                             options.delete_fraction);
+    num_deletes = std::min(num_deletes, current.size() > 1 ? current.size() - 1
+                                                           : size_t{0});
+    size_t num_adds = ops - std::min(ops, num_deletes);
+
+    GraphDelta delta;
+    std::vector<Triple> batch_deletes;
+    for (size_t i : rng.SampleIndices(current.size(), num_deletes)) {
+      batch_deletes.push_back(current[i]);
+      delta.deletes.push_back(decode(current[i]));
+    }
+    std::sort(batch_deletes.begin(), batch_deletes.end());
+    std::vector<Triple> batch_adds;
+    for (size_t i = 0; i < num_adds; ++i) {
+      for (int attempt = 0; attempt < 16; ++attempt) {
+        const Triple& donor = current[rng.Uniform(current.size())];
+        const std::vector<TermId>& pool = objects_by_pred[donor.p];
+        Triple candidate{donor.s, donor.p, pool[rng.Uniform(pool.size())]};
+        if (std::binary_search(current.begin(), current.end(), candidate) ||
+            std::binary_search(batch_adds.begin(), batch_adds.end(),
+                               candidate)) {
+          continue;
+        }
+        batch_adds.insert(std::lower_bound(batch_adds.begin(),
+                                           batch_adds.end(), candidate),
+                          candidate);
+        delta.adds.push_back(decode(candidate));
+        break;
+      }
+    }
+
+    std::vector<Triple> effective_deletes, stripped, next;
+    std::set_difference(batch_deletes.begin(), batch_deletes.end(),
+                        batch_adds.begin(), batch_adds.end(),
+                        std::back_inserter(effective_deletes));
+    std::set_difference(current.begin(), current.end(),
+                        effective_deletes.begin(), effective_deletes.end(),
+                        std::back_inserter(stripped));
+    std::merge(stripped.begin(), stripped.end(), batch_adds.begin(),
+               batch_adds.end(), std::back_inserter(next));
+    next.erase(std::unique(next.begin(), next.end()), next.end());
+    current = std::move(next);
+    stream.push_back(std::move(delta));
+  }
+  return stream;
+}
+
+/// One stream rendered as text: batch by batch, deletes then adds.
+std::vector<std::string> RenderStream(
+    const std::vector<core::maintenance::GraphDelta>& stream) {
+  std::vector<std::string> lines;
+  auto line = [](const char* sign, const core::maintenance::TermTriple& t) {
+    return std::string(sign) + t.s.ToNTriples() + " " + t.p.ToNTriples() +
+           " " + t.o.ToNTriples();
+  };
+  for (size_t b = 0; b < stream.size(); ++b) {
+    lines.push_back("batch " + std::to_string(b));
+    for (const auto& t : stream[b].deletes) lines.push_back(line("-", t));
+    for (const auto& t : stream[b].adds) lines.push_back(line("+", t));
+  }
+  return lines;
+}
+
+TEST_F(WorkloadTest, UpdateStreamMatchesNaiveCopyAndAdvance) {
+  const std::vector<Triple>& base = engine_.base_snapshot();
+  const Dictionary& dict = engine_.store()->dictionary();
+  for (uint64_t seed : {1u, 7u, 42u, 99u, 2024u}) {
+    for (int batches = 1; batches <= 5; ++batches) {
+      for (double delete_fraction : {0.0, 0.4, 1.0}) {
+        SCOPED_TRACE("seed=" + std::to_string(seed) +
+                     " batches=" + std::to_string(batches) +
+                     " delete_fraction=" + std::to_string(delete_fraction));
+        UpdateStreamOptions options;
+        options.num_batches = batches;
+        options.batch_fraction = 0.02;
+        options.delete_fraction = delete_fraction;
+        options.seed = seed;
+        auto stream = GenerateUpdateStream(base, dict, options);
+        ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+        ASSERT_EQ(stream->size(), static_cast<size_t>(batches));
+        EXPECT_EQ(RenderStream(*stream),
+                  RenderStream(NaiveUpdateStream(base, dict, options)));
+      }
+    }
+  }
 }
 
 }  // namespace
